@@ -12,13 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegeneracyError
-from .geometry import (
-    COLLINEAR,
-    GeometricDrawing,
-    count_crossings_geometric,
-    orientation,
-    validate_general_position,
-)
+from .geometry import COLLINEAR, GeometricDrawing, orientation
+from .geometry import count_crossings_geometric
 from .graph import Edge
 
 
@@ -41,12 +36,21 @@ class TypeProfile:
     vertex_profiles: tuple[tuple[int, ...], ...]
     groups: dict[tuple[int, tuple[int, ...]], int]
 
+    def coverage_gap(self) -> tuple[int, int] | None:
+        """First (vertex, missing type) of lemma_coverage_check, or None."""
+        for vertex, types in enumerate(self.vertex_profiles):  # d types, sorted
+            for i in range(types[0], self.max_type + 1):
+                needed = 1 if (i == self.max_type and len(types) % 2 == 1) else 2
+                if types.count(i) < needed:
+                    return (vertex, i)
+        return None
+
 
 def endvertex_type(drawing: GeometricDrawing, edge: Edge, endpoint: int) -> int:
     """Type of `endpoint` on `edge`: min over the two halfplane counts.
 
-    Requires general position, under which no other incident edge can be
-    collinear with the edge's line.
+    Decided on the drawing's int grid.  Raises DegeneracyError when another
+    incident edge lies on the edge's line, which general position rules out.
     """
     u, v = edge
     if endpoint == u:
@@ -55,41 +59,35 @@ def endvertex_type(drawing: GeometricDrawing, edge: Edge, endpoint: int) -> int:
         other = u
     else:
         raise ValueError(f"vertex {endpoint} is not an endpoint of {edge}")
-    pos = drawing.positions
-    left = right = 0
+    pos = drawing.grid
+    left = 0
     for w in drawing.graph.adjacency[endpoint]:
-        if w == other:
-            continue
         side = orientation(pos[endpoint], pos[other], pos[w])
-        if side == COLLINEAR:
+        if side == COLLINEAR and w != other:
             raise DegeneracyError(
                 f"edge ({endpoint}, {w}) lies on the line of edge {edge}"
             )
-        if side > 0:
-            left += 1
-        else:
-            right += 1
-    return min(left, right)
+        left += side > 0
+    return min(left, drawing.graph.d - 1 - left)
 
 
 def type_profile(drawing: GeometricDrawing) -> TypeProfile:
     """Compute the full type statistics of a general-position drawing."""
-    violation = validate_general_position(drawing)
-    if violation is not None:
-        raise DegeneracyError(f"vertices {violation} violate general position")
+    left = drawing.sides.left
     graph = drawing.graph
     d = graph.d
     max_type = (d - 1) // 2
+    neighbors = [sum(1 << w for w in ws) for ws in graph.adjacency]
+    split = [min(k, d - 1 - k) for k in range(d)]  # type with k neighbors on the left
     endpoint_counts = [0] * (max_type + 1)
     edge_counts: dict[tuple[int, int], int] = {
         (i, j): 0 for i in range(max_type + 1) for j in range(i, max_type + 1)
     }
     per_vertex: list[list[int]] = [[] for _ in range(graph.n)]
     accounting = 0
-    for edge in graph.edges:
-        u, v = edge
-        tu = endvertex_type(drawing, edge, u)
-        tv = endvertex_type(drawing, edge, v)
+    for (u, v), side in zip(graph.edges, left):
+        tu = split[(side & neighbors[u]).bit_count()]
+        tv = split[(side & neighbors[v]).bit_count()]
         endpoint_counts[tu] += 1
         endpoint_counts[tv] += 1
         per_vertex[u].append(tu)
@@ -118,18 +116,9 @@ def lemma_coverage_check(drawing: GeometricDrawing) -> tuple[int, int] | None:
     At a vertex whose minimum type is s, every type in s..D must occur at
     least twice among the vertex's d endpoint types, except that the top
     type D only needs to occur once when d is odd.  Returns the first
-    (vertex, missing type) counterexample otherwise.
+    (vertex, missing type) counterexample otherwise; see coverage_gap().
     """
-    profile = type_profile(drawing)
-    d = drawing.graph.d
-    max_type = profile.max_type
-    for vertex, types in enumerate(profile.vertex_profiles):
-        s = types[0]
-        for i in range(s, max_type + 1):
-            needed = 1 if (i == max_type and d % 2 == 1) else 2
-            if types.count(i) < needed:
-                return (vertex, i)
-    return None
+    return type_profile(drawing).coverage_gap()
 
 
 @dataclass(frozen=True)

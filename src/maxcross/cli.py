@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .analysis import lemma_coverage_check, noncrossing_accounting, type_profile
+from .analysis import type_profile
 from .constructions import construction_params, generalized_star, star_like_even
 from .errors import ConstructionError, DegeneracyError, ResourceLimitError
 from .formulas import best_known
@@ -166,20 +166,20 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     drawing = load_drawing(args.file)
+    report = count_crossings_geometric(drawing)
     profile = type_profile(drawing)
-    report = noncrossing_accounting(drawing)
     print(f"n {drawing.graph.n}")
     print(f"d {drawing.graph.d}")
     print(f"max_type {profile.max_type}")
     print("y " + " ".join(str(c) for c in profile.endpoint_counts))
     for (i, j), count in sorted(profile.edge_counts.items()):
         print(f"x {i} {j} {count}")
-    print(f"M {report.accounting}")
+    print(f"M {profile.accounting}")
     print(f"N {report.noncrossing}")
     print(f"P {report.pair_count}")
-    print(f"crossings {report.crossings}")
+    print(f"crossings {report.total}")
     if args.check_lemma:
-        failure = lemma_coverage_check(drawing)
+        failure = profile.coverage_gap()
         if failure is None:
             print("coverage ok")
         else:

@@ -1,15 +1,18 @@
 """Exact rational plane geometry for straight-line graph drawings.
 
-Every predicate works on exact rational coordinates (Fraction, or plain int
-where the value happens to be integral) and decides through the sign of a
-cross product.  No floating point enters any decision, so crossing reports
-are exact for arbitrary inputs, not just well-conditioned ones.
+Every decision is the sign of an exact cross product; no floating point
+enters.  `orientation` and `segments_cross` decide on rational coordinates.
+The kernel clears a drawing's denominators once (its `grid`), checks general
+position once on those ints and reads crossings and types off one side table.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
@@ -83,23 +86,83 @@ class GeometricDrawing:
                 f"{self.graph.n} vertices but {len(self.positions)} positions"
             )
 
+    @cached_property
+    def grid(self) -> tuple[Point, ...]:
+        """Positions times the lcm of their denominators: int Points with the
+        same orientation signs.  Non-rational coordinates raise ValueError."""
+        for c in (c for p in self.positions for c in p):
+            if not isinstance(c, numbers.Rational):
+                raise ValueError(f"coordinate {c!r} is not rational")
+        scale = math.lcm(*(c.denominator for p in self.positions for c in p))
+        return tuple(Point(*(c.numerator * (scale // c.denominator) for c in p))
+                     for p in self.positions)
+
+    @cached_property
+    def sides(self) -> SideTable:
+        """The edges' side table on the grid; needs general position."""
+        violation = validate_general_position(self)
+        if violation is not None:
+            raise DegeneracyError(f"vertices {violation} violate general position")
+        return side_table(self.grid, self.graph.edges)
+
+
+def degeneracy(pts: Sequence[tuple[int, int]]) -> Optional[tuple[int, ...]]:
+    """None for int points in general position, else the first coincident
+    pair (i, j) or, failing that, the first collinear triple (i, j, k)."""
+    n = len(pts)
+    if len(set(pts)) != n:
+        return next((i, j) for i, j in combinations(range(n), 2) if pts[i] == pts[j])
+    for i in range(n):
+        ax, ay = pts[i]
+        for j in range(i + 1, n):
+            bx, by = pts[j]
+            dx, dy = bx - ax, by - ay
+            for k in range(j + 1, n):
+                cx, cy = pts[k]
+                if dx * (cy - ay) == dy * (cx - ax):
+                    return (i, j, k)
+    return None
+
 
 def validate_general_position(drawing: GeometricDrawing) -> Optional[tuple[int, ...]]:
-    """None when vertex positions are in general position.
+    """None when vertex positions are in general position, else the first
+    violation: coincident vertices (i, j) or a collinear triple (i, j, k)."""
+    return degeneracy(drawing.grid)
 
-    Otherwise the first violation found: a pair (i, j) of coincident
-    vertices, or a collinear triple (i, j, k).
+
+class SideTable(NamedTuple):
+    left: tuple[int, ...]  # bitmask of the vertices left of edges[i] = (u, v), u -> v
+    crossings: tuple[int, ...]  # number of edges crossing edges[i]
+
+
+def side_table(pts: Sequence[tuple[int, int]], edges: Sequence[Edge]) -> SideTable:
+    """Side table of edges over int points in general position (not checked).
+
+    Non-adjacent edges cross iff each has its endpoints on opposite sides of
+    the other's line; in O(n m) steps, straddle[i] marks the edges with one
+    endpoint left of line i, left_of[u] ^ left_of[v] those separating u, v.
     """
-    pos = drawing.positions
-    n = len(pos)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if pos[i] == pos[j]:
-                return (i, j)
-    for i, j, k in combinations(range(n), 3):
-        if orientation(pos[i], pos[j], pos[k]) == COLLINEAR:
-            return (i, j, k)
-    return None
+    n = len(pts)
+    incident = [0] * n
+    for j, (u, v) in enumerate(edges):
+        incident[u] |= 1 << j
+        incident[v] |= 1 << j
+    left_of = [0] * n
+    left, straddle = [], []
+    for i, (u, v) in enumerate(edges):
+        ux, uy = pts[u]
+        dx, dy = pts[v][0] - ux, pts[v][1] - uy
+        vertices = crossed = 0
+        for w, (px, py) in enumerate(pts):
+            if dx * (py - uy) > dy * (px - ux):
+                vertices |= 1 << w
+                crossed ^= incident[w]
+                left_of[w] |= 1 << i
+        left.append(vertices)
+        straddle.append(crossed & ~(incident[u] | incident[v]))
+    crossings = tuple((s & (left_of[u] ^ left_of[v])).bit_count()
+                      for s, (u, v) in zip(straddle, edges))
+    return SideTable(tuple(left), crossings)
 
 
 @dataclass(frozen=True, eq=True)
@@ -125,29 +188,15 @@ class CrossingReport:
 def count_crossings_geometric(drawing: GeometricDrawing) -> CrossingReport:
     """Count pairwise edge crossings of a general-position drawing.
 
-    Runs in O(m^2) over the m edges.  Adjacent edges (sharing a vertex) are
-    skipped, so under general position every surviving pair either crosses
-    properly or misses entirely.
+    Reads the drawing's side table: O(n m) int cross products for n
+    vertices and m edges.  Raises DegeneracyError, naming the first
+    violation, unless the drawing is in general position.
     """
-    violation = validate_general_position(drawing)
-    if violation is not None:
-        raise DegeneracyError(f"vertices {violation} violate general position")
-    pos = drawing.positions
-    edges = drawing.graph.edges
-    per_edge = {edge: 0 for edge in edges}
-    total = 0
-    noncrossing = 0
-    for index, (a, b) in enumerate(edges):
-        for c, d in edges[index + 1 :]:
-            if c in (a, b) or d in (a, b):
-                continue
-            if segments_cross(pos[a], pos[b], pos[c], pos[d]):
-                total += 1
-                per_edge[(a, b)] += 1
-                per_edge[(c, d)] += 1
-            else:
-                noncrossing += 1
-    return CrossingReport(total=total, per_edge=per_edge, noncrossing=noncrossing)
+    graph = drawing.graph
+    crossings = drawing.sides.crossings
+    total = sum(crossings) // 2
+    pairs = math.comb(len(graph.edges), 2) - graph.n * math.comb(graph.d, 2)
+    return CrossingReport(total, dict(zip(graph.edges, crossings)), pairs - total)
 
 
 def drawing_to_text(drawing: GeometricDrawing, trailer: str | None = None) -> str:
@@ -188,11 +237,15 @@ def drawing_from_text(text: str) -> GeometricDrawing:
         if len(parts) != 4:
             raise ValueError(f"bad point line {line!r}")
         xn, xd, yn, yd = map(int, parts)
+        if xd == 0 or yd == 0:
+            raise ValueError(f"zero denominator in point line {line!r}")
         positions.append(Point(Fraction(xn, xd), Fraction(yn, yd)))
     edges = []
     degree = [0] * n
     for line in body[n:]:
         u, v = map(int, line.split())
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge {line!r} names a vertex outside 0..{n - 1}")
         edges.append((u, v))
         degree[u] += 1
         degree[v] += 1
@@ -214,33 +267,6 @@ def load_drawing(path) -> GeometricDrawing:
 
 
 def crossing_total(positions: Sequence[tuple[int, int]], edges: Sequence[Edge]) -> int:
-    """Crossing total for integer positions already in general position.
-
-    Lean companion to count_crossings_geometric for hot loops: it caches,
-    per edge, the side every vertex falls on, turning each pair test into
-    table lookups.  Exact (arbitrary-precision int arithmetic), but it must
-    only be fed general-position integer coordinates.
-    """
-    m = len(edges)
-    side = []
-    for u, v in edges:
-        ux, uy = positions[u]
-        vx, vy = positions[v]
-        dx = vx - ux
-        dy = vy - uy
-        side.append(
-            [1 if dx * (py - uy) - dy * (px - ux) > 0 else -1 for px, py in positions]
-        )
-    total = 0
-    for i in range(m):
-        a, b = edges[i]
-        row = side[i]
-        for j in range(i + 1, m):
-            c, d = edges[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            if row[c] != row[d]:
-                other = side[j]
-                if other[a] != other[b]:
-                    total += 1
-    return total
+    """Crossing total of int positions in general position (not checked):
+    the side-table kernel for hot loops, without Points or a report."""
+    return sum(side_table(positions, edges).crossings) // 2

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from .errors import ResourceLimitError
 from .formulas import best_known
-from .geometry import GeometricDrawing, Point, crossing_total
+from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
 from .graph import Edge, RegularGraph, feasible, shard_prefixes
 
 SEARCH_CAP = 9
@@ -360,24 +360,8 @@ def sample_positions(n: int, rng: random.Random) -> tuple[tuple[int, int], ...]:
     span = COORDINATE_SPAN_FACTOR * n * n
     while True:
         pts = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)]
-        if _general_position(pts):
+        if degeneracy(pts) is None:
             return tuple(pts)
-
-
-def _general_position(pts: list[tuple[int, int]]) -> bool:
-    n = len(pts)
-    if len(set(pts)) != n:
-        return False
-    for i in range(n):
-        ax, ay = pts[i]
-        for j in range(i + 1, n):
-            bx, by = pts[j]
-            dx, dy = bx - ax, by - ay
-            for k in range(j + 1, n):
-                cx, cy = pts[k]
-                if dx * (cy - ay) == dy * (cx - ax):
-                    return False
-    return True
 
 
 def sample_drawing(graph: RegularGraph, rng: random.Random) -> GeometricDrawing:

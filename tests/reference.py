@@ -1,0 +1,68 @@
+"""Independent Fraction-based references and drawing strategies for the tests.
+
+The references decide everything with `orientation` and `segments_cross` on
+the rational coordinates, pair by pair, so they share no code with the
+integer side-table kernel they are compared against.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import assume
+from hypothesis import strategies as st
+
+from maxcross.geometry import (
+    COLLINEAR,
+    CrossingReport,
+    GeometricDrawing,
+    Point,
+    orientation,
+    segments_cross,
+)
+from maxcross.search import sample_regular_graph
+
+# Negative and positive, never integral: an odd numerator over an even denominator.
+halves = st.builds(
+    lambda a, b: Fraction(2 * a + 1, 2 * b), st.integers(-300, 300), st.integers(1, 6)
+)
+
+
+def reference_violation(pts):
+    """First coincident pair, else first collinear triple, by Fraction orientation."""
+    for i, j in combinations(range(len(pts)), 2):
+        if pts[i] == pts[j]:
+            return (i, j)
+    for i, j, k in combinations(range(len(pts)), 3):
+        if orientation(pts[i], pts[j], pts[k]) == COLLINEAR:
+            return (i, j, k)
+    return None
+
+
+def reference_report(drawing):
+    """CrossingReport decided pair by pair with the Fraction segments_cross."""
+    pos = drawing.positions
+    per_edge = dict.fromkeys(drawing.graph.edges, 0)
+    total = noncrossing = 0
+    for (a, b), (c, d) in combinations(drawing.graph.edges, 2):
+        if len({a, b, c, d}) < 4:
+            continue
+        if segments_cross(pos[a], pos[b], pos[c], pos[d]):
+            total += 1
+            per_edge[(a, b)] += 1
+            per_edge[(c, d)] += 1
+        else:
+            noncrossing += 1
+    return CrossingReport(total=total, per_edge=per_edge, noncrossing=noncrossing)
+
+
+@st.composite
+def general_drawings(draw):
+    """A random regular graph on 4..9 vertices, drawn in general position
+    with negative and non-integral rational coordinates."""
+    n = draw(st.integers(4, 9))
+    d = draw(st.sampled_from([d for d in range(2, n) if n * d % 2 == 0]))
+    graph = sample_regular_graph(n, d, random.Random(draw(st.integers(0, 2**32))))
+    pts = tuple(Point(draw(halves), draw(halves)) for _ in range(n))
+    assume(reference_violation(pts) is None)
+    return GeometricDrawing(graph, pts)

@@ -7,6 +7,7 @@ products before the module was written.
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from maxcross.analysis import (
     endvertex_type,
@@ -20,6 +21,7 @@ from maxcross.formulas import min_noncrossing_pairs, upper_bound
 from maxcross.geometry import GeometricDrawing, count_crossings_geometric, point
 from maxcross.graph import make_circulant, make_complete, make_cycle
 from maxcross.search import sample_drawing, sample_regular_graph
+from reference import general_drawings
 
 
 def parabola_drawing(graph):
@@ -128,6 +130,39 @@ class TestAccounting:
         assert report.noncrossing == 0
         assert report.accounting == 0
         assert report.crossings == 5
+
+
+class TestTypeProfileRoutes:
+    @given(general_drawings())
+    @settings(max_examples=120, deadline=None)
+    def test_profile_matches_endvertex_types(self, drawing):
+        # type_profile reads the side table; endvertex_type decides each
+        # endpoint by its own orientation tests
+        d = drawing.graph.d
+        profile = type_profile(drawing)
+        endpoint_counts = [0] * (profile.max_type + 1)
+        edge_counts = dict.fromkeys(profile.edge_counts, 0)
+        per_vertex = [[] for _ in range(drawing.graph.n)]
+        accounting = 0
+        for edge in drawing.graph.edges:
+            tu, tv = (endvertex_type(drawing, edge, end) for end in edge)
+            for end, t in zip(edge, (tu, tv)):
+                endpoint_counts[t] += 1
+                per_vertex[end].append(t)
+            i, j = sorted((tu, tv))
+            edge_counts[(i, j)] += 1
+            accounting += i * (d - j - 1) + j * (d - i - 1)
+        assert profile.endpoint_counts == tuple(endpoint_counts)
+        assert profile.edge_counts == edge_counts
+        assert profile.accounting == accounting
+        assert profile.vertex_profiles == tuple(tuple(sorted(t)) for t in per_vertex)
+        assert profile.coverage_gap() == lemma_coverage_check(drawing)
+
+    def test_degenerate_profile_names_first_violation(self):
+        pts = (point(0, 0), point(1, 1), point(2, 2), point(0, 5))
+        drawing = GeometricDrawing(make_cycle(4), pts)
+        with pytest.raises(DegeneracyError, match=r"vertices \(0, 1, 2\) violate"):
+            type_profile(drawing)
 
 
 class TestRandomCorpus:

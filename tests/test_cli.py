@@ -81,6 +81,34 @@ class TestAnalyze:
         assert "crossings 210" in lines
         assert "coverage ok" not in lines
 
+    def test_one_validation_count_and_profile(self, capsys, tmp_path, monkeypatch):
+        import maxcross.cli as cli
+        import maxcross.geometry as geometry
+
+        calls = {}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(geometry, "validate_general_position")
+        counted(cli, "count_crossings_geometric")
+        counted(cli, "type_profile")
+        drw = str(tmp_path / "s.drw")
+        run_cli(capsys, "construct", "star", "--n", "9", "--d", "4", "-o", drw)
+        code, out, _ = run_cli(capsys, "analyze", "--check-lemma", drw)
+        assert code == 0 and "coverage ok" in out
+        assert calls == {
+            "validate_general_position": 1,
+            "count_crossings_geometric": 1,
+            "type_profile": 1,
+        }
+
     def test_check_lemma_flag(self, capsys, tmp_path):
         drw = str(tmp_path / "s.drw")
         run_cli(capsys, "construct", "star", "--n", "9", "--d", "4", "-o", drw)
@@ -220,6 +248,23 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "count", str(drw))
         assert code == 3
         assert "general position" in err
+
+    @pytest.mark.parametrize("command", [["count"], ["analyze"], ["render", "-o", "x.svg"]])
+    @pytest.mark.parametrize(
+        "good, bad",
+        # an edge naming vertex 7 of 4; a zero denominator
+        [("\n1 2\n", "\n2 7\n"), ("\n1 1 1 1\n", "\n1 0 1 1\n")],
+    )
+    def test_bad_drawing_file(self, capsys, tmp_path, command, good, bad):
+        drw = tmp_path / "bad.drw"
+        text = run_cli(capsys, "construct", "starlike", "--n", "4", "--d", "2")[1]
+        assert good in text
+        drw.write_text(text.replace(good, bad))
+        argv = [command[0], str(drw)] + command[1:]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_construction_argument_error(self, capsys):
         assert run_cli(capsys, "construct", "starlike", "--n", "9", "--d", "4")[0] == 2

@@ -28,9 +28,13 @@ from maxcross.geometry import (
     validate_general_position,
 )
 from maxcross.graph import make_complete, make_cycle, make_graph
+from reference import general_drawings, halves, reference_report, reference_violation
 
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(point, coords, coords)
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+# Few distinct values, so coincident points and collinear triples are common.
+tiny = st.sampled_from([Fraction(k, 2) for k in range(-3, 4)])
 
 
 def parabola(n: int) -> tuple[Point, ...]:
@@ -104,6 +108,26 @@ class TestGeneralPosition:
         d = GeometricDrawing(make_cycle(4), pts)
         assert validate_general_position(d) == (0, 1, 2)
 
+    @given(st.integers(4, 8).flatmap(lambda n: st.lists(
+        st.builds(Point, tiny, tiny), min_size=n, max_size=n)))
+    @settings(max_examples=200, deadline=None)
+    def test_first_violation_matches_orientation_scan(self, pts):
+        drawing = GeometricDrawing(make_cycle(len(pts)), tuple(pts))
+        expected = reference_violation(pts)
+        assert validate_general_position(drawing) == expected
+        if expected is not None:
+            with pytest.raises(DegeneracyError) as info:
+                count_crossings_geometric(drawing)
+            assert str(info.value) == f"vertices {expected} violate general position"
+
+    def test_non_rational_coordinate_rejected(self):
+        pts = tuple(Point(float(i), float(i * i)) for i in range(4))
+        d = GeometricDrawing(make_cycle(4), pts)
+        for check in (validate_general_position, count_crossings_geometric):
+            with pytest.raises(ValueError, match="not rational") as info:
+                check(d)
+            assert "\n" not in str(info.value)
+
 
 class TestCountCrossings:
     def test_convex_k4(self):
@@ -140,6 +164,28 @@ class TestCountCrossings:
         b = count_crossings_geometric(GeometricDrawing(g, mapped))
         assert a.total == b.total
         assert a.per_edge == b.per_edge
+
+    @given(general_drawings(), rationals, rationals, rationals, rationals, halves, halves)
+    @settings(max_examples=60, deadline=None)
+    def test_rational_affine_invariance(self, drawing, a, b, c, d, tx, ty):
+        # a negative determinant mirrors every orientation, so each crossing
+        # test flips both sides and keeps its verdict; the reflection
+        # x -> -x is always checked besides the random map
+        assume(a * d - b * c != 0)
+        expected = count_crossings_geometric(drawing)
+        pts = drawing.positions
+        for mapped in (
+            tuple(Point(a * p.x + b * p.y + tx, c * p.x + d * p.y + ty) for p in pts),
+            tuple(Point(-p.x, p.y) for p in pts),
+        ):
+            assert count_crossings_geometric(GeometricDrawing(drawing.graph, mapped)) == expected
+
+    @given(general_drawings())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_pairwise_segments_cross(self, drawing):
+        report = count_crossings_geometric(drawing)
+        assert report == reference_report(drawing)
+        assert crossing_total(drawing.grid, drawing.graph.edges) == report.total
 
     def test_report_consistency(self):
         report = count_crossings_geometric(
@@ -181,6 +227,19 @@ class TestSerialization:
         text = drawing_to_text(d, trailer="construction star 4 2")
         assert text.rstrip().endswith("# construction star 4 2")
         assert drawing_from_text(text) == d
+
+    @pytest.mark.parametrize("edge", ["2 7", "-1 2"])
+    def test_vertex_out_of_range(self, edge):
+        text = drawing_to_text(GeometricDrawing(make_cycle(4), parabola(4)))
+        text = text.replace("\n1 2\n", f"\n{edge}\n")
+        with pytest.raises(ValueError, match="outside 0..3"):
+            drawing_from_text(text)
+
+    def test_zero_denominator(self):
+        text = drawing_to_text(GeometricDrawing(make_cycle(4), parabola(4)))
+        text = text.replace("\n1 1 1 1\n", "\n1 0 1 1\n")
+        with pytest.raises(ValueError, match="zero denominator"):
+            drawing_from_text(text)
 
     def test_bad_header(self):
         with pytest.raises(ValueError):
