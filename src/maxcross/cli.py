@@ -95,6 +95,9 @@ def render_svg(
     ]
     solid = [e for e in drawing.graph.edges if e not in style.highlight]
     dashed = sorted(style.highlight)
+    for u, v in dashed:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"dashed edge {u}-{v} names a vertex outside 0..{n - 1}")
     for u, v in solid:
         (x1, y1), (x2, y2) = pts[u], pts[v]
         lines.append(
@@ -292,7 +295,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True)
     p.set_defaults(handler=_cmd_formula)
 
-    p = sub.add_parser("search", help="maximize crossings over labeled graphs")
+    p = sub.add_parser(
+        "search",
+        help="maximize crossings over labeled graphs",
+        description="Maximize crossings over labeled d-regular graphs.  In the "
+        "output, graphs_examined counts the graphs the convex search reached "
+        "as leaves its bound did not prune (so a sharper bound lowers it), or "
+        "the trials of a probe; it is the same for every --workers value.",
+    )
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=("convex", "probe"), default="convex")

@@ -10,7 +10,10 @@ of the shortest diagonal class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import accumulate
+from math import comb, gcd
+from operator import or_
+from typing import Sequence
 
 from .errors import ConstructionError
 from .geometry import CrossingReport, GeometricDrawing, Point, point
@@ -26,6 +29,7 @@ __all__ = [
     "star_like_deletion",
     "drawing_from_order",
     "crossings_convex",
+    "interleave_masks",
 ]
 
 
@@ -203,34 +207,42 @@ def drawing_from_order(graph: RegularGraph, order: ConvexOrder) -> GeometricDraw
     return GeometricDrawing(graph, tuple(pts[slots[v]] for v in range(graph.n)))
 
 
+def interleave_masks(chords: Sequence[Edge]) -> list[int]:
+    """Bitmask per chord of the other chords it crosses in convex position.
+
+    Chords are slot pairs (a, b) with a < b.  Two chords cross exactly when
+    their endpoints interleave around the circle: chord (a, b) is crossed by
+    the chords with one endpoint strictly inside it and one strictly
+    outside.  Chords sharing a slot never cross.
+    """
+    touching = [0] * (1 + max((b for _, b in chords), default=0))
+    for j, (c, d) in enumerate(chords):
+        touching[c] |= 1 << j
+        touching[d] |= 1 << j
+    before = list(accumulate(touching, or_, initial=0))
+    after = list(accumulate(reversed(touching), or_, initial=0))[::-1]
+    masks = []
+    for a, b in chords:
+        inside = 0
+        for slot in range(a + 1, b):
+            inside |= touching[slot]
+        masks.append(inside & (before[a] | after[b + 1]))
+    return masks
+
+
 def crossings_convex(graph: RegularGraph, order: ConvexOrder) -> CrossingReport:
     """Crossing report of a convex placement, computed combinatorially.
 
-    Two chords of a convex polygon cross exactly when their endpoints
-    interleave around the circle, so the whole report falls out of integer
-    comparisons on polygon slots.  Field for field it equals the geometric
-    count of the induced parabola drawing.
+    The report falls out of interleave_masks on the polygon slots of the
+    edges.  Field for field it equals the geometric count of the induced
+    parabola drawing.
     """
     if len(order.order) != graph.n:
         raise ValueError(f"order has {len(order.order)} slots for n={graph.n}")
     slots = order.slots()
-    placed = []
-    for u, v in graph.edges:
-        su, sv = slots[u], slots[v]
-        placed.append((min(su, sv), max(su, sv)))
-    per_edge = {edge: 0 for edge in graph.edges}
-    total = 0
-    noncrossing = 0
-    edges = graph.edges
-    for i, (a, b) in enumerate(placed):
-        for j in range(i + 1, len(placed)):
-            c, d = placed[j]
-            if c == a or c == b or d == a or d == b:
-                continue
-            if (a < c < b) != (a < d < b):
-                total += 1
-                per_edge[edges[i]] += 1
-                per_edge[edges[j]] += 1
-            else:
-                noncrossing += 1
-    return CrossingReport(total=total, per_edge=per_edge, noncrossing=noncrossing)
+    chords = [tuple(sorted((slots[u], slots[v]))) for u, v in graph.edges]
+    masks = interleave_masks(chords)
+    per_edge = {edge: mask.bit_count() for edge, mask in zip(graph.edges, masks)}
+    total = sum(per_edge.values()) // 2
+    pairs = comb(len(graph.edges), 2) - graph.n * comb(graph.d, 2)
+    return CrossingReport(total=total, per_edge=per_edge, noncrossing=pairs - total)

@@ -16,9 +16,10 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Optional, Sequence
 
+from .constructions import ConvexOrder, crossings_convex, interleave_masks
 from .errors import ResourceLimitError
 from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
@@ -65,24 +66,6 @@ class SearchResult:
     mode: str
 
 
-def _interleave_masks(n: int, edges: Sequence[Edge]) -> list[int]:
-    """Bitmask per edge of the other edges it crosses in convex position.
-
-    Chords {a,b} and {c,d} of the identity-order polygon cross iff their
-    endpoint pairs interleave; pairs sharing a vertex never cross.
-    """
-    masks = [0] * len(edges)
-    for i, (a, b) in enumerate(edges):
-        for j in range(i + 1, len(edges)):
-            c, d = edges[j]
-            if c in (a, b) or d in (a, b):
-                continue
-            if (a < c < b) != (a < d < b):
-                masks[i] |= 1 << j
-                masks[j] |= 1 << i
-    return masks
-
-
 def _search_shard(
     n: int, d: int, prefix: tuple[Edge, ...], floor: int
 ) -> tuple[int, Optional[tuple[Edge, ...]], int]:
@@ -91,11 +74,12 @@ def _search_shard(
     Returns (best, witness edges or None, graphs examined).  The floor
     seeds pruning: branches whose optimistic completion cannot beat it are
     cut, while ties stay reachable, so the first graph attaining the final
-    maximum in lexicographic stream order is always found.
+    maximum in lexicographic stream order is always found.  Graphs examined
+    counts the leaves reached, so a sharper bound lowers it.
     """
     all_edges = list(combinations(range(n), 2))
     edge_index = {e: i for i, e in enumerate(all_edges)}
-    masks = _interleave_masks(n, all_edges)
+    masks = interleave_masks(all_edges)
     m = n * d // 2
     max_partners = m - 2 * d + 1
 
@@ -129,7 +113,8 @@ def _search_shard(
             elif current == best and witness is None:
                 witness = tuple(stack)
             return
-        if current + (m - len(stack)) * max_partners < best:
+        left = m - len(stack)
+        if current + left * max_partners < best:
             return
         lu, lw = stack[-1] if stack else (-1, -1)
         start = lw + 1 if lu == u else u + 1
@@ -138,6 +123,13 @@ def _search_shard(
             if remaining[w]:
                 available += 1
         if available < remaining[u]:
+            return
+        # Sharper, and only worth computing here: the placed chords gain at
+        # most their residual capacity, and the edges still to place cross
+        # each other at most C(left, 2) times, or left * max_partners / 2
+        # (every edge has at most max_partners partners, each pair counted twice).
+        slack = best - current - min(left * (left - 1) // 2, left * max_partners // 2)
+        if slack > 0 and _residual_capacity(stack, remaining) < slack:
             return
         for w in range(start, n):
             if not remaining[w]:
@@ -154,6 +146,23 @@ def _search_shard(
 
     dfs(current, stack_mask)
     return best, witness, examined
+
+
+def _residual_capacity(stack: Sequence[Edge], remaining: Sequence[int]) -> int:
+    """Most crossings the placed chords can still gain from future edges.
+
+    A future edge crosses chord (a, b) only with one free stub strictly
+    inside it and one strictly outside, so each chord gains at most the
+    smaller of its two free-stub counts.
+    """
+    below = list(accumulate(remaining, initial=0))
+    total = below[-1]
+    capacity = 0
+    for a, b in stack:
+        inside = below[b] - below[a + 1]
+        outside = total - inside - remaining[a] - remaining[b]
+        capacity += inside if inside < outside else outside
+    return capacity
 
 
 def _shard_task(args: tuple[int, int, tuple[Edge, ...], int]):
@@ -235,6 +244,40 @@ def load_shard_checkpoint(path: str) -> dict:
         raise ValueError(f"checkpoint {path} is missing field {exc}") from exc
 
 
+def _verify_shard(path: str, data: dict, floor: int, upper: int) -> None:
+    """Re-check a loaded shard of this run before it joins the merge.
+
+    A witness must be a valid graph extending the shard prefix, its convex
+    recount must be the recorded best, and that best must lie within the
+    bounds; a shard without a witness can only record the floor.  Raises
+    ValueError naming the file on the first mismatch.
+    """
+    best, witness, prefix = data["best"], data["witness"], data["prefix"]
+    fail = f"checkpoint {path}: "
+    if data["examined"] < 0:
+        raise ValueError(fail + "negative examined count")
+    if witness is None:
+        if best != floor:
+            raise ValueError(fail + f"best {best} without a witness")
+        return
+    try:
+        graph = RegularGraph(data["n"], data["d"], witness)
+    except ValueError as exc:
+        raise ValueError(fail + f"bad witness: {exc}") from exc
+    if witness[: len(prefix)] != prefix:
+        raise ValueError(fail + "witness does not extend the shard prefix")
+    recount = crossings_convex(graph, ConvexOrder.identity(graph.n)).total
+    if recount != best:
+        raise ValueError(fail + f"best {best} but the witness has {recount} crossings")
+    if not floor <= best <= upper:
+        raise ValueError(fail + f"best {best} outside the bounds [{floor}, {upper}]")
+
+
+def _pool_size(workers: int, tasks: int) -> int:
+    """Worker processes to start: no more than asked for, cores or tasks."""
+    return max(1, min(workers, os.cpu_count() or 1, tasks))
+
+
 def convex_max(
     n: int,
     d: int,
@@ -260,7 +303,8 @@ def convex_max(
     if not feasible(n, d):
         raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
     started = time.perf_counter()
-    floor = best_known(n, d).lower
+    bounds = best_known(n, d)
+    floor = bounds.lower
     prefixes = shard_prefixes(n, d)
     results: dict[int, tuple[int, Optional[tuple[Edge, ...]], int]] = {}
 
@@ -271,14 +315,18 @@ def convex_max(
             if not os.path.exists(path):
                 continue
             data = load_shard_checkpoint(path)
-            if (data["n"], data["d"], data["prefix"]) != (n, d, prefix):
+            run = (data["n"], data["d"], data["shard"], data["prefix"])
+            if run != (n, d, index, prefix):
                 raise ValueError(f"checkpoint {path} belongs to a different run")
+            _verify_shard(path, data, floor, bounds.upper)
             results[index] = (data["best"], data["witness"], data["examined"])
 
+    loaded = len(results)
     pending = [i for i in range(len(prefixes)) if i not in results]
     tasks = [(n, d, prefixes[i], floor) for i in pending]
-    if workers > 1 and len(tasks) > 1:
-        with multiprocessing.Pool(workers) as pool:
+    size = _pool_size(workers, len(tasks))
+    if size > 1:
+        with multiprocessing.Pool(size) as pool:
             computed = pool.map(_shard_task, tasks, chunksize=1)
     else:
         computed = [_search_shard(*task) for task in tasks]
@@ -303,6 +351,8 @@ def convex_max(
             best_value = shard_best
             best_witness = shard_witness
     if best_value is None or best_witness is None:
+        if loaded:
+            raise ValueError(f"checkpoints in {checkpoint_dir} hold no witness")
         raise AssertionError("seeded lower bound was never attained")
     return SearchResult(
         n=n,

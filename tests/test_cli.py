@@ -266,6 +266,15 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_dashed_vertex_out_of_range(self, capsys, tmp_path):
+        drw = str(tmp_path / "s5.drw")
+        run_cli(capsys, "construct", "star", "--n", "5", "--d", "2", "-o", drw)
+        svg = tmp_path / "x.svg"
+        code, out, err = run_cli(capsys, "render", drw, "-o", str(svg), "--dashed", "0-9")
+        assert code == 2
+        assert out == "" and not svg.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_construction_argument_error(self, capsys):
         assert run_cli(capsys, "construct", "starlike", "--n", "9", "--d", "4")[0] == 2
 

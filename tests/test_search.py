@@ -1,16 +1,21 @@
 """Exhaustive convex-position search and randomized probes."""
 
+import functools
 import os
 import random
 
 import pytest
 
+from maxcross.cli import main
+from maxcross.constructions import ConvexOrder, crossings_convex
 from maxcross.errors import ResourceLimitError
 from maxcross.formulas import best_known, exact_odd, exact_r_n_2_even
 from maxcross.geometry import count_crossings_geometric
-from maxcross.graph import connected_components
+from maxcross.graph import connected_components, enumerate_labeled_regular, shard_prefixes
 from maxcross.search import (
     REFERENCE_VALUES,
+    _pool_size,
+    _search_shard,
     convex_max,
     load_shard_checkpoint,
     perturbation_probe,
@@ -19,6 +24,16 @@ from maxcross.search import (
     sample_regular_graph,
     write_shard_checkpoint,
 )
+
+
+@functools.cache
+def _convex_stream(n, d):
+    """(edges, convex crossings) of every labeled graph, in stream order."""
+    order = ConvexOrder.identity(n)
+    return [
+        (graph.edges, crossings_convex(graph, order).total)
+        for graph in enumerate_labeled_regular(n, d)
+    ]
 
 
 class TestConvexMax:
@@ -35,28 +50,31 @@ class TestConvexMax:
 
     def test_witness_attains_maximum(self):
         result = convex_max(6, 2)
-        from maxcross.constructions import ConvexOrder, crossings_convex
-
         report = crossings_convex(result.witness, ConvexOrder.identity(6))
         assert report.total == result.max_crossings
 
     def test_witness_is_lex_least(self):
-        # enumerate everything without pruning and take the first attaining
-        # graph; the search must return the same one
-        from maxcross.constructions import ConvexOrder, crossings_convex
-        from maxcross.graph import enumerate_labeled_regular
+        # the first graph of the unpruned stream attaining the maximum must be
+        # the one the search returns, in every feasible cell with n <= 8
+        for n in range(4, 9):
+            for d in range(2, n):
+                if n * d % 2:
+                    continue
+                stream = _convex_stream(n, d)
+                best = max(total for _, total in stream)
+                first = next(e for e, total in stream if total == best)
+                result = convex_max(n, d)
+                assert (result.max_crossings, result.witness.edges) == (best, first), (n, d)
 
-        order = ConvexOrder.identity(6)
-        best = -1
-        first = None
-        for graph in enumerate_labeled_regular(6, 2):
-            total = crossings_convex(graph, order).total
-            if total > best:
-                best = total
-                first = graph
-        result = convex_max(6, 2)
-        assert result.max_crossings == best
-        assert result.witness == first
+    @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
+    def test_every_shard_matches_brute_force(self, n, d):
+        # with floor 0 nothing but the bound prunes, so a bound that is too
+        # tight anywhere shows as a wrong shard maximum or witness
+        for prefix in shard_prefixes(n, d):
+            shard = [(e, total) for e, total in _convex_stream(n, d) if e[:d] == prefix]
+            best = max((total for _, total in shard), default=0)
+            first = next((e for e, total in shard if total == best), None)
+            assert _search_shard(n, d, prefix, 0)[:2] == (best, first), prefix
 
     def test_determinism_across_workers(self):
         runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
@@ -70,6 +88,15 @@ class TestConvexMax:
                 if n * d % 2:
                     continue
                 assert convex_max(n, d).max_crossings == best_known(n, d).lower
+
+    def test_pool_size_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert _pool_size(10**9, 100) == 4
+        assert _pool_size(3, 100) == 3
+        assert _pool_size(8, 2) == 2
+        assert _pool_size(0, 5) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _pool_size(8, 5) == 1
 
     def test_cap(self):
         with pytest.raises(ResourceLimitError):
@@ -140,6 +167,36 @@ class TestCheckpoints:
             assert result.max_crossings == full.max_crossings
             assert result.witness == full.witness
             assert result.graphs_examined == full.graphs_examined
+
+    @pytest.mark.parametrize(
+        "best, witness",
+        [
+            ("999", "0-1 0-2 1-3 2-4 3-5 4-5"),  # recount is not 999
+            ("999", "-"),  # above the floor without a witness
+            ("7", "0-1 0-2"),  # not a 2-regular graph
+            ("7", "0-2 0-3 1-4 1-5 2-4 3-5"),  # another shard's witness
+        ],
+    )
+    def test_tampered_checkpoint_rejected(self, capsys, tmp_path, best, witness):
+        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "shard-0.ckpt"
+        lines = path.read_text().splitlines()
+        assert lines[6:] == ["best 7", "witness -"]
+        path.write_text("\n".join(lines[:6] + [f"best {best}", f"witness {witness}"]))
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+
+    def test_checkpoints_without_any_witness_rejected(self, tmp_path):
+        convex_max(6, 2, checkpoint_dir=str(tmp_path))
+        for path in tmp_path.iterdir():
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:-1] + ["witness -"]))
+        with pytest.raises(ValueError, match="no witness"):
+            convex_max(6, 2, checkpoint_dir=str(tmp_path))
 
     def test_foreign_checkpoint_rejected(self, tmp_path):
         convex_max(6, 2, checkpoint_dir=str(tmp_path))
