@@ -37,9 +37,7 @@ __all__ = [
 class ConvexOrder:
     """Clockwise placement of vertices 0..n-1 on a convex polygon.
 
-    order[i] is the vertex sitting at polygon slot i.  The canonical form
-    of the dihedral symmetry class puts vertex 0 at slot 0 and orients the
-    traversal so the slot-1 vertex is smaller than the slot-(n-1) vertex.
+    order[i] is the vertex sitting at polygon slot i.
     """
 
     order: tuple[int, ...]
@@ -52,15 +50,6 @@ class ConvexOrder:
     @classmethod
     def identity(cls, n: int) -> "ConvexOrder":
         return cls(tuple(range(n)))
-
-    def canonical(self) -> "ConvexOrder":
-        """Rotate to put vertex 0 first, reflect to fix the direction."""
-        n = len(self.order)
-        shift = self.order.index(0)
-        rotated = self.order[shift:] + self.order[:shift]
-        if n > 2 and rotated[1] > rotated[-1]:
-            rotated = rotated[:1] + rotated[1:][::-1]
-        return ConvexOrder(rotated)
 
     def slots(self) -> tuple[int, ...]:
         """Inverse permutation: slots()[v] is the polygon slot of vertex v."""

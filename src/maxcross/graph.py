@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import ResourceLimitError
 
@@ -162,6 +162,74 @@ def shard_prefixes(n: int, d: int) -> list[tuple[Edge, ...]]:
     ]
 
 
+def lex_fill(
+    n: int,
+    d: int,
+    prefix: tuple[Edge, ...] = (),
+    prune: Optional[Callable[[list[Edge], list[int]], bool]] = None,
+) -> Iterator[tuple[Edge, ...]]:
+    """Sorted edge tuples of every labeled d-regular graph extending prefix.
+
+    The one degree-filling walk behind enumeration and the convex search:
+    each node joins the first vertex u with free stubs to a later vertex,
+    so the tuples come out in lexicographic order.  Before expanding a node
+    the walk calls prune(stack, remaining) with its live edge stack and
+    per-vertex free stubs (read, never modify); a true result skips the
+    node's subtree.  Completed graphs are yielded, never pruned.
+    """
+    remaining = [d] * n
+    last = (-1, -1)
+    for u, v in prefix:
+        if not 0 <= u < v < n:
+            raise ValueError(f"bad prefix edge ({u}, {v})")
+        if (u, v) <= last:
+            raise ValueError("prefix edges must be strictly increasing")
+        if remaining[u] == 0 or remaining[v] == 0:
+            raise ValueError(f"prefix edge ({u}, {v}) oversaturates a vertex")
+        remaining[u] -= 1
+        remaining[v] -= 1
+        last = (u, v)
+    stack = list(prefix)
+    base = len(stack)
+    # One frame [u, w] per expanded node: the vertex it fills and its last
+    # candidate partner.  The frame at index i sits at stack depth base + i,
+    # so its child edge (u, w) is on the stack exactly when the stack is
+    # one deeper than that.
+    frames: list[list[int]] = []
+    u = 0  # every vertex below u is saturated
+    while True:
+        while u < n and not remaining[u]:
+            u += 1
+        if u == n:
+            yield tuple(stack)
+        else:
+            lu, lw = stack[-1] if stack else (-1, -1)
+            start = lw + 1 if lu == u else u + 1
+            available = n - start - remaining[start:].count(0)
+            if available >= remaining[u] and not (prune and prune(stack, remaining)):
+                frames.append([u, start - 1])
+        # Move to the next candidate, backtracking out of exhausted nodes.
+        while frames:
+            frame = frames[-1]
+            u, w = frame
+            if len(stack) - base == len(frames):
+                stack.pop()
+                remaining[u] += 1
+                remaining[w] += 1
+            w += 1
+            while w < n and not remaining[w]:
+                w += 1
+            if w < n:
+                remaining[u] -= 1
+                remaining[w] -= 1
+                stack.append((u, w))
+                frame[1] = w
+                break
+            frames.pop()
+        else:
+            return
+
+
 def enumerate_labeled_regular(
     n: int,
     d: int,
@@ -181,44 +249,10 @@ def enumerate_labeled_regular(
         raise ResourceLimitError(f"n={n} exceeds enumeration cap {cap}")
     if not feasible(n, d):
         return
-    remaining = [d] * n
-    last = (-1, -1)
-    for u, v in prefix:
-        if not 0 <= u < v < n:
-            raise ValueError(f"bad prefix edge ({u}, {v})")
-        if (u, v) <= last:
-            raise ValueError("prefix edges must be strictly increasing")
-        if remaining[u] == 0 or remaining[v] == 0:
-            raise ValueError(f"prefix edge ({u}, {v}) oversaturates a vertex")
-        remaining[u] -= 1
-        remaining[v] -= 1
-        last = (u, v)
-    stack = list(prefix)
-
-    def extend() -> Iterator[RegularGraph]:
-        u = next((v for v in range(n) if remaining[v]), -1)
-        if u == -1:
-            graph = RegularGraph(n, d, tuple(stack))
-            if not connected_only or len(connected_components(graph)) == 1:
-                yield graph
-            return
-        lu, lw = stack[-1] if stack else (-1, -1)
-        start = lw + 1 if lu == u else u + 1
-        available = sum(1 for w in range(start, n) if remaining[w])
-        if available < remaining[u]:
-            return
-        for w in range(start, n):
-            if not remaining[w]:
-                continue
-            remaining[u] -= 1
-            remaining[w] -= 1
-            stack.append((u, w))
-            yield from extend()
-            stack.pop()
-            remaining[u] += 1
-            remaining[w] += 1
-
-    yield from extend()
+    for edges in lex_fill(n, d, prefix):
+        graph = RegularGraph(n, d, edges)
+        if not connected_only or len(connected_components(graph)) == 1:
+            yield graph
 
 
 def graph_to_text(graph: RegularGraph) -> str:

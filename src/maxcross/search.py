@@ -23,7 +23,7 @@ from .constructions import ConvexOrder, crossings_convex, interleave_masks
 from .errors import ResourceLimitError
 from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
-from .graph import Edge, RegularGraph, feasible, shard_prefixes
+from .graph import Edge, RegularGraph, feasible, lex_fill, shard_prefixes
 
 SEARCH_CAP = 9
 LONG_RUN_CAP = 10
@@ -82,69 +82,44 @@ def _search_shard(
     masks = interleave_masks(all_edges)
     m = n * d // 2
     max_partners = m - 2 * d + 1
+    # crossings[k] and placed[k]: crossing count and edge bitmask of the
+    # first k edges on the walk's current path.
+    crossings = [0] * (m + 1)
+    placed = [0] * (m + 1)
 
-    remaining = [d] * n
-    stack: list[Edge] = []
-    stack_mask = 0
-    current = 0
-    for u, v in prefix:
-        current += (masks[edge_index[(u, v)]] & stack_mask).bit_count()
-        stack_mask |= 1 << edge_index[(u, v)]
-        stack.append((u, v))
-        remaining[u] -= 1
-        remaining[v] -= 1
+    def place(k: int, edge: Edge) -> int:
+        index = edge_index[edge]
+        crossings[k] = crossings[k - 1] + (masks[index] & placed[k - 1]).bit_count()
+        placed[k] = placed[k - 1] | (1 << index)
+        return crossings[k]
 
-    best = floor
-    witness: Optional[tuple[Edge, ...]] = None
-    examined = 0
+    for k, edge in enumerate(prefix, 1):
+        place(k, edge)
 
-    def dfs(current: int, stack_mask: int) -> None:
-        nonlocal best, witness, examined
-        u = -1
-        for v0 in range(n):
-            if remaining[v0]:
-                u = v0
-                break
-        if u < 0:
-            examined += 1
-            if current > best:
-                best = current
-                witness = tuple(stack)
-            elif current == best and witness is None:
-                witness = tuple(stack)
-            return
-        left = m - len(stack)
+    def prune(stack: list[Edge], remaining: list[int]) -> bool:
+        k = len(stack)
+        current = place(k, stack[-1]) if k > len(prefix) else crossings[k]
+        left = m - k
         if current + left * max_partners < best:
-            return
-        lu, lw = stack[-1] if stack else (-1, -1)
-        start = lw + 1 if lu == u else u + 1
-        available = 0
-        for w in range(start, n):
-            if remaining[w]:
-                available += 1
-        if available < remaining[u]:
-            return
+            return True
         # Sharper, and only worth computing here: the placed chords gain at
         # most their residual capacity, and the edges still to place cross
         # each other at most C(left, 2) times, or left * max_partners / 2
         # (every edge has at most max_partners partners, each pair counted twice).
         slack = best - current - min(left * (left - 1) // 2, left * max_partners // 2)
-        if slack > 0 and _residual_capacity(stack, remaining) < slack:
-            return
-        for w in range(start, n):
-            if not remaining[w]:
-                continue
-            index = edge_index[(u, w)]
-            gained = (masks[index] & stack_mask).bit_count()
-            remaining[u] -= 1
-            remaining[w] -= 1
-            stack.append((u, w))
-            dfs(current + gained, stack_mask | (1 << index))
-            stack.pop()
-            remaining[u] += 1
-            remaining[w] += 1
+        return slack > 0 and _residual_capacity(stack, remaining) < slack
 
-    dfs(current, stack_mask)
+    best = floor
+    witness: Optional[tuple[Edge, ...]] = None
+    examined = 0
+    for edges in lex_fill(n, d, prefix, prune):
+        examined += 1
+        current = place(m, edges[-1])
+        if current > best:
+            best = current
+            witness = edges
+        elif current == best and witness is None:
+            witness = edges
     return best, witness, examined
 
 
@@ -163,10 +138,6 @@ def _residual_capacity(stack: Sequence[Edge], remaining: Sequence[int]) -> int:
         outside = total - inside - remaining[a] - remaining[b]
         capacity += inside if inside < outside else outside
     return capacity
-
-
-def _shard_task(args: tuple[int, int, tuple[Edge, ...], int]):
-    return _search_shard(*args)
 
 
 def _checkpoint_path(directory: str, index: int) -> str:
@@ -250,7 +221,9 @@ def _verify_shard(path: str, data: dict, floor: int, upper: int) -> None:
     A witness must be a valid graph extending the shard prefix, its convex
     recount must be the recorded best, and that best must lie within the
     bounds; a shard without a witness can only record the floor.  Raises
-    ValueError naming the file on the first mismatch.
+    ValueError naming the file on the first mismatch.  A shard recorded
+    without a witness is trusted, not re-checked: only searching it again
+    could show that a better graph was dropped.
     """
     best, witness, prefix = data["best"], data["witness"], data["prefix"]
     fail = f"checkpoint {path}: "
@@ -283,7 +256,6 @@ def convex_max(
     d: int,
     *,
     workers: int = 1,
-    cap: int = SEARCH_CAP,
     long_run: bool = False,
     checkpoint_dir: str | None = None,
 ) -> SearchResult:
@@ -294,7 +266,7 @@ def convex_max(
     are identical for any worker count.  With checkpoint_dir set, finished
     shards are written as ckpt v1 files and skipped on resume.
     """
-    effective_cap = max(cap, LONG_RUN_CAP) if long_run else cap
+    effective_cap = LONG_RUN_CAP if long_run else SEARCH_CAP
     if n > effective_cap:
         raise ResourceLimitError(
             f"n={n} exceeds search cap {effective_cap}"
@@ -327,7 +299,7 @@ def convex_max(
     size = _pool_size(workers, len(tasks))
     if size > 1:
         with multiprocessing.Pool(size) as pool:
-            computed = pool.map(_shard_task, tasks, chunksize=1)
+            computed = pool.starmap(_search_shard, tasks, chunksize=1)
     else:
         computed = [_search_shard(*task) for task in tasks]
     for index, outcome in zip(pending, computed):

@@ -42,31 +42,11 @@ class TestConvexOrder:
         with pytest.raises(ValueError):
             ConvexOrder((0, 1, 1, 3))
 
-    def test_canonical_rotation(self):
-        assert ConvexOrder((2, 3, 0, 1)).canonical().order == (0, 1, 2, 3)
-
-    def test_canonical_reflection(self):
-        assert ConvexOrder((0, 3, 2, 1)).canonical().order == (0, 1, 2, 3)
-
-    def test_canonical_idempotent(self):
-        order = ConvexOrder((3, 1, 4, 0, 2))
-        assert order.canonical().canonical() == order.canonical()
-
     def test_slots_inverse(self):
         order = ConvexOrder((2, 0, 3, 1))
         slots = order.slots()
         for position, vertex in enumerate(order.order):
             assert slots[vertex] == position
-
-    @given(st.permutations(list(range(6))))
-    def test_canonical_fixes_dihedral_class(self, perm):
-        # every rotation and the reflection of an order canonicalize alike
-        order = tuple(perm)
-        base = ConvexOrder(order).canonical()
-        rotated = ConvexOrder(order[2:] + order[:2]).canonical()
-        reflected = ConvexOrder(order[::-1]).canonical()
-        assert rotated == base
-        assert reflected == base
 
 
 class TestParams:

@@ -20,6 +20,7 @@ from maxcross.graph import (
     feasible,
     graph_from_text,
     graph_to_text,
+    lex_fill,
     make_circulant,
     make_complete,
     make_cycle,
@@ -122,7 +123,12 @@ class TestComponents:
 
 class TestEnumeration:
     @pytest.mark.parametrize(
-        "n,d,count", [(4, 2, 3), (4, 3, 1), (5, 2, 12), (6, 2, 70), (6, 3, 70)]
+        "n,d,count",
+        [
+            (4, 2, 3), (4, 3, 1), (5, 2, 12), (6, 2, 70), (6, 3, 70),
+            # OEIS A001205 (d = 2) and A002829 (d = 3)
+            (7, 2, 465), (8, 2, 3507), (8, 3, 19355),
+        ],
     )
     def test_counts(self, n, d, count):
         assert sum(1 for _ in enumerate_labeled_regular(n, d)) == count
@@ -176,6 +182,20 @@ class TestEnumeration:
         n, d = pair
         for g in enumerate_labeled_regular(n, d):
             assert g.n == n and g.d == d
+
+    def test_prune_skips_exactly_the_subtree(self):
+        # cutting the node whose first k edges are P removes exactly the
+        # graphs that start with P and leaves the rest of the stream in order
+        full = list(lex_fill(6, 2))
+        for k in (1, 3, 5):
+            prefix = full[len(full) // 2][:k]
+
+            def prune(stack, remaining):
+                return tuple(stack[:k]) == prefix
+
+            kept = [edges for edges in full if edges[:k] != prefix]
+            assert len(kept) < len(full)
+            assert list(lex_fill(6, 2, prune=prune)) == kept
 
 
 class TestSerialization:
