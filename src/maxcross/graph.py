@@ -69,6 +69,14 @@ class RegularGraph:
         if bad:
             raise ValueError(f"vertices {bad} do not have degree {self.d}")
 
+    @classmethod
+    def _trusted(cls, n: int, d: int, edges: tuple[Edge, ...]) -> "RegularGraph":
+        """Build without __post_init__, for lex_fill output only: the walk
+        already guarantees sorted, in-range edges and degree d everywhere."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(n=n, d=d, edges=edges)
+        return graph
+
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         """Sorted neighbor tuple per vertex."""
@@ -250,7 +258,7 @@ def enumerate_labeled_regular(
     if not feasible(n, d):
         return
     for edges in lex_fill(n, d, prefix):
-        graph = RegularGraph(n, d, edges)
+        graph = RegularGraph._trusted(n, d, edges)
         if not connected_only or len(connected_components(graph)) == 1:
             yield graph
 

@@ -26,7 +26,7 @@ from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
 from .graph import Edge, RegularGraph, feasible, lex_fill, shard_prefixes
 
 SEARCH_CAP = 9
-LONG_RUN_CAP = 10
+LONG_RUN_CAP = 12
 CHECKPOINT_HEADER = "ckpt v1"
 
 MODE_CONVEX = "convex-exhaustive"
@@ -83,9 +83,11 @@ def _search_shard(
     m = n * d // 2
     max_partners = m - 2 * d + 1
     # crossings[k] and placed[k]: crossing count and edge bitmask of the
-    # first k edges on the walk's current path.
+    # first k edges on the walk's current path; shared[k]: the pairs of edges
+    # still to place that meet at a vertex, sum of C(free stubs, 2).
     crossings = [0] * (m + 1)
     placed = [0] * (m + 1)
+    shared = [0] * (m + 1)
 
     def place(k: int, edge: Edge) -> int:
         index = edge_index[edge]
@@ -98,15 +100,24 @@ def _search_shard(
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
         k = len(stack)
-        current = place(k, stack[-1]) if k > len(prefix) else crossings[k]
+        if k > len(prefix):
+            u, w = stack[-1]
+            current = place(k, (u, w))
+            # C(r, 2) - C(r - 1, 2) = r - 1, and remaining is already r - 1.
+            shared[k] = shared[k - 1] - remaining[u] - remaining[w]
+        else:  # the shard's root, reached once
+            current = crossings[k]
+            shared[k] = sum(r * (r - 1) // 2 for r in remaining)
         left = m - k
         if current + left * max_partners < best:
             return True
         # Sharper, and only worth computing here: the placed chords gain at
-        # most their residual capacity, and the edges still to place cross
-        # each other at most C(left, 2) times, or left * max_partners / 2
-        # (every edge has at most max_partners partners, each pair counted twice).
-        slack = best - current - min(left * (left - 1) // 2, left * max_partners // 2)
+        # most their residual capacity, and two edges still to place cross
+        # only if they share no vertex, so at most C(left, 2) - shared[k]
+        # times, or left * max_partners / 2 (every edge has at most
+        # max_partners partners, each pair counted twice).
+        future = min(left * (left - 1) // 2 - shared[k], left * max_partners // 2)
+        slack = best - current - future
         return slack > 0 and _residual_capacity(stack, remaining) < slack
 
     best = floor
@@ -270,7 +281,7 @@ def convex_max(
     if n > effective_cap:
         raise ResourceLimitError(
             f"n={n} exceeds search cap {effective_cap}"
-            + ("" if long_run else " (long-run mode raises the cap to 10)")
+            + ("" if long_run else f" (long-run mode raises the cap to {LONG_RUN_CAP})")
         )
     if not feasible(n, d):
         raise ValueError(f"no d-regular graph exists for n={n}, d={d}")

@@ -3,13 +3,14 @@
 import functools
 import os
 import random
+from itertools import combinations
 
 import pytest
 
 from maxcross.cli import main
-from maxcross.constructions import ConvexOrder, crossings_convex
+from maxcross.constructions import ConvexOrder, crossings_convex, interleave_masks
 from maxcross.errors import ResourceLimitError
-from maxcross.formulas import best_known, exact_odd, exact_r_n_2_even
+from maxcross.formulas import best_known, exact_odd, exact_r_n_2_even, lower_bound_even
 from maxcross.geometry import count_crossings_geometric
 from maxcross.graph import connected_components, enumerate_labeled_regular, shard_prefixes
 from maxcross.search import (
@@ -66,7 +67,7 @@ class TestConvexMax:
                 result = convex_max(n, d)
                 assert (result.max_crossings, result.witness.edges) == (best, first), (n, d)
 
-    @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
+    @pytest.mark.parametrize("n,d", [(7, 4), (8, 2), (8, 3), (8, 4), (8, 6)])
     def test_every_shard_matches_brute_force(self, n, d):
         # with floor 0 nothing but the bound prunes, so a bound that is too
         # tight anywhere shows as a wrong shard maximum or witness
@@ -75,6 +76,27 @@ class TestConvexMax:
             best = max((total for _, total in shard), default=0)
             first = next((e for e, total in shard if total == best), None)
             assert _search_shard(n, d, prefix, 0)[:2] == (best, first), prefix
+
+    @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
+    def test_future_pair_bound_is_admissible(self, n, d):
+        # two edges meeting at a vertex never cross, so after the first k edges
+        # of any graph the other m - k cross each other at most
+        # C(m - k, 2) - sum_v C(r_v, 2) times, r_v the free stubs at v
+        all_edges = list(combinations(range(n), 2))
+        masks = dict(zip(all_edges, interleave_masks(all_edges)))
+        bits = {e: 1 << i for i, e in enumerate(all_edges)}
+        m = n * d // 2
+        for graph in enumerate_labeled_regular(n, d):
+            free = [0] * n
+            later = crossed = 0
+            for k in range(m - 1, -1, -1):
+                u, v = edge = graph.edges[k]
+                crossed += (masks[edge] & later).bit_count()
+                later |= bits[edge]
+                free[u] += 1
+                free[v] += 1
+                shared = sum(r * (r - 1) // 2 for r in free)
+                assert crossed <= (m - k) * (m - k - 1) // 2 - shared, (graph.edges, k)
 
     def test_determinism_across_workers(self):
         runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
@@ -102,7 +124,18 @@ class TestConvexMax:
         with pytest.raises(ResourceLimitError):
             convex_max(10, 2)
         with pytest.raises(ResourceLimitError):
-            convex_max(11, 2, long_run=True)
+            convex_max(13, 2, long_run=True)
+
+    def test_long_run_cells(self):
+        # n = 11 and 12 are in reach of long-run mode: the exact odd cells and
+        # the conjectured (12, 4), where the star-like count is the convex maximum
+        cells = [(11, 4, exact_odd(11, 4)), (12, 3, exact_odd(12, 3)),
+                 (12, 5, exact_odd(12, 5)), (12, 4, 169)]
+        assert lower_bound_even(12, 4) == 169
+        for n, d, value in cells:
+            result = convex_max(n, d, long_run=True)
+            recount = crossings_convex(result.witness, ConvexOrder.identity(n)).total
+            assert result.max_crossings == recount == value, (n, d)
 
     def test_infeasible(self):
         with pytest.raises(ValueError):
