@@ -23,10 +23,14 @@ from .constructions import ConvexOrder, crossings_convex, interleave_masks
 from .errors import ResourceLimitError
 from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
-from .graph import Edge, RegularGraph, feasible, lex_fill, shard_prefixes
+from .graph import Edge, RegularGraph, feasible, lex_fill, make_circulant, shard_prefixes
 
 SEARCH_CAP = 9
 LONG_RUN_CAP = 12
+PROBE_CAP = 100
+# Switch attempts per edge in sample_regular_graph's chain.  One per edge
+# leaves a visible bias in the triangle counts of cubic graphs on 8 vertices.
+SWITCHES_PER_EDGE = 10
 CHECKPOINT_HEADER = "ckpt v1"
 
 MODE_CONVEX = "convex-exhaustive"
@@ -349,10 +353,13 @@ def convex_max(
 
 
 def sample_regular_graph(n: int, d: int, rng: random.Random) -> RegularGraph:
-    """Random labeled d-regular graph via stub pairing with rejection.
+    """Random labeled d-regular graph from a seeded double-edge switch chain.
 
-    Dense degrees are sampled through the complement, which keeps the
-    rejection rate of the pairing model tame for every feasible pair.
+    The chain starts from a circulant relabeled by a random permutation and
+    runs a fixed number of switch attempts, so every call does bounded work.
+    Its stationary distribution is uniform over labeled graphs, and the
+    result is close to uniform, not exactly uniform.  Dense degrees are
+    sampled through the complement, which keeps the chain short.
     """
     if not feasible(n, d):
         raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
@@ -361,28 +368,53 @@ def sample_regular_graph(n: int, d: int, rng: random.Random) -> RegularGraph:
             n, d, tuple((u, v) for u in range(n) for v in range(u + 1, n))
         )
     if n - 1 - d < d:
-        return _sample_by_pairing(n, n - 1 - d, rng).complement()
-    return _sample_by_pairing(n, d, rng)
+        return _sample_by_switching(n, n - 1 - d, rng).complement()
+    return _sample_by_switching(n, d, rng)
 
 
-def _sample_by_pairing(n: int, d: int, rng: random.Random) -> RegularGraph:
-    stubs = [v for v in range(n) for _ in range(d)]
-    while True:
-        rng.shuffle(stubs)
-        edges: set[Edge] = set()
-        simple = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                simple = False
-                break
-            edge = (u, v) if u < v else (v, u)
-            if edge in edges:
-                simple = False
-                break
-            edges.add(edge)
-        if simple:
-            return RegularGraph(n, d, tuple(sorted(edges)))
+def _sample_by_switching(n: int, d: int, rng: random.Random) -> RegularGraph:
+    """SWITCHES_PER_EDGE * m attempts of the switch ab, ce -> ac, be.
+
+    One draw picks an ordered pair of edge indices and an orientation of the
+    second edge.  An attempt that would make a loop or a repeated edge is
+    skipped, not retried.  Each switch and its reverse are proposed with the
+    same probability, so the uniform distribution is stationary.
+    """
+    offsets = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for u, v in make_circulant(n, offsets).edges:
+        u, v = label[u], label[v]
+        edges.append((u, v) if u < v else (v, u))
+    present = set(edges)
+    m = len(edges)
+    span = 2 * m
+    total = span * m
+    bits = total.bit_length()
+    for _ in range(SWITCHES_PER_EDGE * m):
+        # uniform below 2 m^2 by rejection, as randrange draws, minus its call overhead
+        draw = rng.getrandbits(bits)
+        while draw >= total:
+            draw = rng.getrandbits(bits)
+        i, rest = divmod(draw, span)
+        j, flip = divmod(rest, 2)
+        a, b = edges[i]
+        c, e = edges[j]
+        if flip:
+            c, e = e, c
+        if a == c or a == e or b == c or b == e:
+            continue
+        first = (a, c) if a < c else (c, a)
+        second = (b, e) if b < e else (e, b)
+        if first in present or second in present:
+            continue
+        present.remove(edges[i])
+        present.remove(edges[j])
+        present.add(first)
+        present.add(second)
+        edges[i], edges[j] = first, second
+    return RegularGraph(n, d, tuple(sorted(edges)))
 
 
 COORDINATE_SPAN_FACTOR = 4
@@ -408,8 +440,15 @@ def perturbation_probe(n: int, d: int, trials: int, seed: int) -> SearchResult:
 
     A falsification probe, not a proof: placements are unconstrained (in
     particular non-convex), so any trial beating the convex oracle would
-    refute the convex-position conjecture.  Deterministic for fixed seed.
+    refute the convex-position conjecture.  Each trial draws its graph from
+    sample_regular_graph (a switch chain from a relabeled circulant, with a
+    fixed number of steps, close to uniform rather than exactly uniform), so
+    every trial does bounded work.  Deterministic for fixed seed.  Raises
+    ResourceLimitError above PROBE_CAP vertices: a trial's general-position
+    check is cubic in n and its crossing count quadratic in m.
     """
+    if n > PROBE_CAP:
+        raise ResourceLimitError(f"n={n} exceeds probe cap {PROBE_CAP}")
     if not feasible(n, d):
         raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
     if trials < 1:

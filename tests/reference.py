@@ -1,8 +1,10 @@
-"""Independent Fraction-based references and drawing strategies for the tests.
+"""Independent references and drawing strategies for the tests.
 
-The references decide everything with `orientation` and `segments_cross` on
-the rational coordinates, pair by pair, so they share no code with the
-integer side-table kernel they are compared against.
+The geometric references decide everything with `orientation` and
+`segments_cross` on the rational coordinates, pair by pair, so they share no
+code with the integer side-table kernel they are compared against.  The
+pairing sampler is the exactly uniform model the switch-chain sampler is
+compared against.
 """
 
 import random
@@ -20,6 +22,7 @@ from maxcross.geometry import (
     orientation,
     segments_cross,
 )
+from maxcross.graph import RegularGraph
 from maxcross.search import sample_regular_graph
 
 # Negative and positive, never integral: an odd numerator over an even denominator.
@@ -54,6 +57,24 @@ def reference_report(drawing):
         else:
             noncrossing += 1
     return CrossingReport(total=total, per_edge=per_edge, noncrossing=noncrossing)
+
+
+def sample_by_pairing(n, d, rng):
+    """Uniform labeled d-regular graph: shuffle n*d stubs, pair them in order,
+    and start again on any loop or repeated edge.  The expected number of
+    shuffles grows like exp(d^2 / 4), so keep d small."""
+    stubs = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)
+        edges = set()
+        for i in range(0, len(stubs), 2):
+            u, v = stubs[i], stubs[i + 1]
+            edge = (u, v) if u < v else (v, u)
+            if u == v or edge in edges:
+                break
+            edges.add(edge)
+        else:
+            return RegularGraph(n, d, tuple(sorted(edges)))
 
 
 @st.composite

@@ -6,6 +6,8 @@ import pytest
 
 from maxcross.cli import RenderStyle, main, render_svg
 from maxcross.constructions import generalized_star, star_like_deletion, star_like_even
+from maxcross.graph import RegularGraph
+from maxcross.search import PROBE_CAP
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,6 +136,17 @@ class TestSearchCommand:
         assert "max_crossings 5" in out.splitlines()
         assert "graphs_examined 300" in out.splitlines()
 
+    def test_dense_probe_returns(self, capsys):
+        # stub pairing gave no result here in 20 s; the switch chain is bounded
+        code, out, _ = run_cli(
+            capsys, "search", "--n", "24", "--d", "12",
+            "--mode", "probe", "--trials", "1",
+        )
+        assert code == 0
+        fields = dict(line.split(" ", 1) for line in out.splitlines())
+        edges = tuple(tuple(map(int, e.split("-"))) for e in fields["witness"].split())
+        RegularGraph(24, 12, edges)  # raises unless the witness is 12-regular
+
     def test_stdout_stable_across_runs(self, capsys):
         argv = ("search", "--n", "6", "--d", "3", "--mode", "probe",
                 "--trials", "100", "--seed", "3")
@@ -232,6 +245,13 @@ class TestExitCodes:
         assert run_cli(capsys, "search", "--n", "11", "--d", "2")[0] == 2
         assert run_cli(capsys, "table", "--max-n", "3")[0] == 2
         assert run_cli(capsys, "count", "/nonexistent/path.drw")[0] == 2
+
+    def test_probe_cap(self, capsys):
+        argv = ("search", "--mode", "probe", "--n", str(PROBE_CAP + 1), "--d", "4")
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_usage_errors(self, capsys):
         assert run_cli(capsys, "bogus")[0] == 2

@@ -1,8 +1,10 @@
 """Exhaustive convex-position search and randomized probes."""
 
 import functools
+import math
 import os
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -12,7 +14,13 @@ from maxcross.constructions import ConvexOrder, crossings_convex, interleave_mas
 from maxcross.errors import ResourceLimitError
 from maxcross.formulas import best_known, exact_odd, exact_r_n_2_even, lower_bound_even
 from maxcross.geometry import count_crossings_geometric
-from maxcross.graph import connected_components, enumerate_labeled_regular, shard_prefixes
+from maxcross.graph import (
+    RegularGraph,
+    connected_components,
+    enumerate_labeled_regular,
+    feasible,
+    shard_prefixes,
+)
 from maxcross.search import (
     REFERENCE_VALUES,
     _pool_size,
@@ -25,6 +33,7 @@ from maxcross.search import (
     sample_regular_graph,
     write_shard_checkpoint,
 )
+from reference import sample_by_pairing
 
 
 @functools.cache
@@ -263,6 +272,70 @@ class TestSamplers:
     def test_infeasible_rejected(self):
         with pytest.raises(ValueError):
             sample_regular_graph(5, 3, random.Random(0))
+
+    def test_every_small_cell_and_the_dense_24_12(self):
+        # every call runs a fixed number of switch attempts, so the dense
+        # (24, 12), out of reach of stub pairing, returns at once
+        cells = [(n, d) for n in range(3, 17) for d in range(2, n) if feasible(n, d)]
+        rng = random.Random(7)
+        for n, d in cells + [(24, 12)]:
+            graph = sample_regular_graph(n, d, rng)
+            assert RegularGraph(n, d, graph.edges) == graph, (n, d)
+
+
+def _triangles(graph):
+    adjacent = [0] * graph.n
+    for u, v in graph.edges:
+        adjacent[u] |= 1 << v
+        adjacent[v] |= 1 << u
+    return sum((adjacent[u] & adjacent[v]).bit_count() for u, v in graph.edges) // 3
+
+
+def _chi2_limit(dof):
+    """Upper 0.999 quantile of chi-squared (Wilson-Hilferty approximation)."""
+    scale = 2 / (9 * dof)
+    return dof * (1 - scale + 3.09 * math.sqrt(scale)) ** 3
+
+
+class TestSamplerUniformity:
+    """The switch chain against exactly uniform references, at fixed seeds."""
+
+    def test_every_labeled_graph_of_7_4(self):
+        # 465 labeled graphs, sampled through the complement of the (7, 2) chain
+        graphs = [graph.edges for graph in enumerate_labeled_regular(7, 4)]
+        rng = random.Random(1)
+        samples = 10 * len(graphs)
+        seen = Counter(sample_regular_graph(7, 4, rng).edges for _ in range(samples))
+        assert set(seen) <= set(graphs)
+        expected = samples / len(graphs)
+        chi2 = sum((seen[edges] - expected) ** 2 / expected for edges in graphs)
+        assert chi2 < _chi2_limit(len(graphs) - 1), chi2
+
+    def test_triangle_histogram_of_8_3(self):
+        # exact histogram over all 19,355 labeled cubic graphs on 8 vertices:
+        # 0, 1, 2, 4 or 8 triangles, the last expected about 5 times in 3000
+        exact = Counter(_triangles(graph) for graph in enumerate_labeled_regular(8, 3))
+        total = sum(exact.values())
+        rng = random.Random(2)
+        samples = 3000
+        seen = Counter(_triangles(sample_regular_graph(8, 3, rng)) for _ in range(samples))
+        assert set(seen) <= set(exact)
+        chi2 = 0.0
+        for count, graphs in exact.items():
+            expected = samples * graphs / total
+            chi2 += (seen[count] - expected) ** 2 / expected
+        assert chi2 < _chi2_limit(len(exact) - 1), chi2
+
+    def test_triangle_histogram_of_10_3_matches_pairing(self):
+        # two-sample test against the pairing model, beyond reach of enumeration;
+        # 4 or more triangles share one bin so every bin is well filled
+        rng = random.Random(3)
+        samples = 1500
+        chain = Counter(min(_triangles(sample_regular_graph(10, 3, rng)), 4) for _ in range(samples))
+        pairing = Counter(min(_triangles(sample_by_pairing(10, 3, rng)), 4) for _ in range(samples))
+        bins = set(chain) | set(pairing)
+        chi2 = sum((chain[b] - pairing[b]) ** 2 / (chain[b] + pairing[b]) for b in bins)
+        assert chi2 < _chi2_limit(len(bins) - 1), chi2
 
 
 class TestPerturbationProbe:
