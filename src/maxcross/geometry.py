@@ -228,6 +228,8 @@ def drawing_from_text(text: str) -> GeometricDrawing:
         n, m = map(int, lines[1].split())
     except ValueError as exc:
         raise ValueError(f"bad size line {lines[1]!r}") from exc
+    if n < 0 or m < 0:
+        raise ValueError(f"negative count in size line {lines[1]!r}")
     body = [line for line in lines[2:] if line.strip()]
     if len(body) != n + m:
         raise ValueError(f"expected {n} point and {m} edge lines, got {len(body)}")

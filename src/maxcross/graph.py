@@ -184,6 +184,10 @@ def lex_fill(
     the walk calls prune(stack, remaining) with its live edge stack and
     per-vertex free stubs (read, never modify); a true result skips the
     node's subtree.  Completed graphs are yielded, never pruned.
+
+    Contract, relied on by the convex search's capacity bound: at every
+    prune call, with u the first vertex with free stubs, every vertex below
+    u is saturated and no edge whose first endpoint is above u is placed.
     """
     remaining = [d] * n
     last = (-1, -1)

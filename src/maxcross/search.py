@@ -16,7 +16,8 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from functools import lru_cache
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .constructions import ConvexOrder, crossings_convex, interleave_masks
@@ -81,9 +82,7 @@ def _search_shard(
     maximum in lexicographic stream order is always found.  Graphs examined
     counts the leaves reached, so a sharper bound lowers it.
     """
-    all_edges = list(combinations(range(n), 2))
-    edge_index = {e: i for i, e in enumerate(all_edges)}
-    masks = interleave_masks(all_edges)
+    edge_index, masks = _chord_tables(n)
     m = n * d // 2
     max_partners = m - 2 * d + 1
     # crossings[k] and placed[k]: crossing count and edge bitmask of the
@@ -122,7 +121,7 @@ def _search_shard(
         # max_partners partners, each pair counted twice).
         future = min(left * (left - 1) // 2 - shared[k], left * max_partners // 2)
         slack = best - current - future
-        return slack > 0 and _residual_capacity(stack, remaining) < slack
+        return slack > 0 and _residual_capacity(d, stack, remaining, 2 * left) < slack
 
     best = floor
     witness: Optional[tuple[Edge, ...]] = None
@@ -138,21 +137,58 @@ def _search_shard(
     return best, witness, examined
 
 
-def _residual_capacity(stack: Sequence[Edge], remaining: Sequence[int]) -> int:
+def _residual_capacity(
+    d: int, stack: Sequence[Edge], remaining: Sequence[int], free: int
+) -> int:
     """Most crossings the placed chords can still gain from future edges.
 
     A future edge crosses chord (a, b) only with one free stub strictly
     inside it and one strictly outside, so each chord gains at most the
-    smaller of its two free-stub counts.
+    smaller of its two free-stub counts; free is the total of remaining.
+    Relies on the lex_fill contract: with u the first vertex with free
+    stubs, every vertex below u is saturated and every placed chord starts
+    at or below u.  So a chord (a, b) with b <= u has no free stub inside,
+    one with b > u sees the stubs of u..b-1 inside (u+1..b-1 when a == u)
+    and those above b outside, and a vertex b > u ends d - remaining[b]
+    placed chords, which makes this one pass over the vertices above u.
     """
-    below = list(accumulate(remaining, initial=0))
-    total = below[-1]
+    if not stack:
+        return 0
+    u = stack[-1][0]
+    while not remaining[u]:
+        u += 1
+    # The chords (u, b) placed so far are the tail of the stack.
+    own = 0
+    i = len(stack) - 1
+    while i >= 0 and stack[i][0] == u:
+        own |= 1 << stack[i][1]
+        i -= 1
+    at_u = remaining[u]
+    inside = at_u
+    outside = free - at_u
     capacity = 0
-    for a, b in stack:
-        inside = below[b] - below[a + 1]
-        outside = total - inside - remaining[a] - remaining[b]
-        capacity += inside if inside < outside else outside
+    for b in range(u + 1, len(remaining)):
+        at_b = remaining[b]
+        outside -= at_b
+        if not outside:
+            break
+        ends = d - at_b
+        if ends:
+            if own >> b & 1:
+                ends -= 1
+                rest = inside - at_u
+                capacity += rest if rest < outside else outside
+            capacity += ends * (inside if inside < outside else outside)
+        inside += at_b
     return capacity
+
+
+@lru_cache(maxsize=None)
+def _chord_tables(n: int) -> tuple[dict[Edge, int], tuple[int, ...]]:
+    """Index and interleave mask of every chord (a, b) of the n-gon, built
+    once per n per process; callers only read them."""
+    chords = list(combinations(range(n), 2))
+    return {e: i for i, e in enumerate(chords)}, tuple(interleave_masks(chords))
 
 
 def _checkpoint_path(directory: str, index: int) -> str:

@@ -4,12 +4,13 @@ The geometric references decide everything with `orientation` and
 `segments_cross` on the rational coordinates, pair by pair, so they share no
 code with the integer side-table kernel they are compared against.  The
 pairing sampler is the exactly uniform model the switch-chain sampler is
-compared against.
+compared against, and the stack-based residual capacity is the plain
+definition the search's one-pass capacity is compared against.
 """
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -75,6 +76,19 @@ def sample_by_pairing(n, d, rng):
             edges.add(edge)
         else:
             return RegularGraph(n, d, tuple(sorted(edges)))
+
+
+def residual_capacity(stack, remaining):
+    """Sum over the placed chords (a, b) of min(free stubs strictly inside,
+    free stubs strictly outside), from prefix sums over every vertex."""
+    below = list(accumulate(remaining, initial=0))
+    total = below[-1]
+    capacity = 0
+    for a, b in stack:
+        inside = below[b] - below[a + 1]
+        outside = total - inside - remaining[a] - remaining[b]
+        capacity += inside if inside < outside else outside
+    return capacity
 
 
 @st.composite

@@ -286,6 +286,17 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_negative_count_in_size_line(self, capsys, tmp_path):
+        # n + m matches the empty body, so only the sign check stops the
+        # parser from allocating a million-entry degree list
+        drw = tmp_path / "negative.drw"
+        drw.write_text("drawing v1\n1000000 -1000000\n")
+        code, out, err = run_cli(capsys, "count", str(drw))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "negative" in err
+
     def test_dashed_vertex_out_of_range(self, capsys, tmp_path):
         drw = str(tmp_path / "s5.drw")
         run_cli(capsys, "construct", "star", "--n", "5", "--d", "2", "-o", drw)

@@ -19,11 +19,13 @@ from maxcross.graph import (
     connected_components,
     enumerate_labeled_regular,
     feasible,
+    lex_fill,
     shard_prefixes,
 )
 from maxcross.search import (
     REFERENCE_VALUES,
     _pool_size,
+    _residual_capacity,
     _search_shard,
     convex_max,
     load_shard_checkpoint,
@@ -33,7 +35,7 @@ from maxcross.search import (
     sample_regular_graph,
     write_shard_checkpoint,
 )
-from reference import sample_by_pairing
+from reference import residual_capacity, sample_by_pairing
 
 
 @functools.cache
@@ -106,6 +108,23 @@ class TestConvexMax:
                 free[v] += 1
                 shared = sum(r * (r - 1) // 2 for r in free)
                 assert crossed <= (m - k) * (m - k - 1) // 2 - shared, (graph.edges, k)
+
+    @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
+    def test_residual_capacity_matches_reference(self, n, d):
+        # the one-pass capacity must equal the stack-based definition at every
+        # node the walk offers to its prune hook, not merely bound it
+        nodes = 0
+
+        def check(stack, remaining):
+            nonlocal nodes
+            nodes += 1
+            got = _residual_capacity(d, stack, remaining, sum(remaining))
+            assert got == residual_capacity(stack, remaining), (stack, remaining)
+            return False
+
+        for _ in lex_fill(n, d, (), check):
+            pass
+        assert nodes > 1
 
     def test_determinism_across_workers(self):
         runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
