@@ -345,6 +345,9 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ResourceLimitError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -11,12 +11,14 @@ deterministically.
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import random
+import signal
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -266,18 +268,21 @@ def load_shard_checkpoint(path: str) -> dict:
         raise ValueError(f"checkpoint {path} is missing field {exc}") from exc
 
 
-def _verify_shard(path: str, data: dict, floor: int, upper: int) -> None:
-    """Re-check a loaded shard of this run before it joins the merge.
+def _verify_shard(path: str, data: dict, run: tuple, floor: int, upper: int) -> None:
+    """Re-check a loaded shard before it joins the merge.
 
-    A witness must be a valid graph extending the shard prefix, its convex
-    recount must be the recorded best, and that best must lie within the
-    bounds; a shard without a witness can only record the floor.  Raises
-    ValueError naming the file on the first mismatch.  A shard recorded
-    without a witness is trusted, not re-checked: only searching it again
-    could show that a better graph was dropped.
+    The file must record this run, (n, d, shard index, prefix).  A witness
+    must be a valid graph extending the shard prefix, its convex recount
+    must be the recorded best, and that best must lie within the bounds; a
+    shard without a witness can only record the floor.  Raises ValueError
+    naming the file on the first mismatch.  A shard recorded without a
+    witness is trusted, not re-checked: only searching it again could show
+    that a better graph was dropped.
     """
     best, witness, prefix = data["best"], data["witness"], data["prefix"]
     fail = f"checkpoint {path}: "
+    if (data["n"], data["d"], data["shard"], prefix) != run:
+        raise ValueError(fail + "belongs to a different run")
     if data["examined"] < 0:
         raise ValueError(fail + "negative examined count")
     if witness is None:
@@ -314,8 +319,10 @@ def convex_max(
 
     Work splits into one shard per possible edge set at vertex 0; shards
     never share state, so results (witness and graphs_examined included)
-    are identical for any worker count.  With checkpoint_dir set, finished
-    shards are written as ckpt v1 files and skipped on resume.
+    are identical for any worker count.  With checkpoint_dir set, existing
+    ckpt v1 files are verified and skipped before any search starts, and
+    each searched shard is written as it is merged, in index order, so an
+    interrupted run keeps every shard before the first unfinished one.
     """
     effective_cap = LONG_RUN_CAP if long_run else SEARCH_CAP
     if n > effective_cap:
@@ -329,50 +336,40 @@ def convex_max(
     bounds = best_known(n, d)
     floor = bounds.lower
     prefixes = shard_prefixes(n, d)
-    results: dict[int, tuple[int, Optional[tuple[Edge, ...]], int]] = {}
-
+    loaded: dict[int, tuple[int, Optional[tuple[Edge, ...]], int]] = {}
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         for index, prefix in enumerate(prefixes):
             path = _checkpoint_path(checkpoint_dir, index)
-            if not os.path.exists(path):
-                continue
-            data = load_shard_checkpoint(path)
-            run = (data["n"], data["d"], data["shard"], data["prefix"])
-            if run != (n, d, index, prefix):
-                raise ValueError(f"checkpoint {path} belongs to a different run")
-            _verify_shard(path, data, floor, bounds.upper)
-            results[index] = (data["best"], data["witness"], data["examined"])
+            if os.path.exists(path):
+                data = load_shard_checkpoint(path)
+                _verify_shard(path, data, (n, d, index, prefix), floor, bounds.upper)
+                loaded[index] = (data["best"], data["witness"], data["examined"])
 
-    loaded = len(results)
-    pending = [i for i in range(len(prefixes)) if i not in results]
-    tasks = [(n, d, prefixes[i], floor) for i in pending]
-    size = _pool_size(workers, len(tasks))
-    if size > 1:
-        with multiprocessing.Pool(size) as pool:
-            computed = pool.starmap(_search_shard, tasks, chunksize=1)
-    else:
-        computed = [_search_shard(*task) for task in tasks]
-    for index, outcome in zip(pending, computed):
-        results[index] = outcome
-        if checkpoint_dir is not None:
-            best, witness, examined = outcome
-            write_shard_checkpoint(
-                _checkpoint_path(checkpoint_dir, index),
-                n, d, index, prefixes[index], best, witness, examined,
-            )
-
+    todo = [prefix for index, prefix in enumerate(prefixes) if index not in loaded]
+    search = partial(_search_shard, n, d, floor=floor)
+    size = _pool_size(workers, len(todo))
     best_value = None
     best_witness: Optional[tuple[Edge, ...]] = None
     examined_total = 0
-    for index in range(len(prefixes)):
-        shard_best, shard_witness, shard_examined = results[index]
-        examined_total += shard_examined
-        if shard_witness is None:
-            continue
-        if best_value is None or shard_best > best_value:
-            best_value = shard_best
-            best_witness = shard_witness
+    # Ctrl-C interrupts the parent alone; leaving the block terminates the workers.
+    with (
+        multiprocessing.Pool(size, signal.signal, (signal.SIGINT, signal.SIG_IGN))
+        if size > 1
+        else contextlib.nullcontext()
+    ) as pool:
+        computed = pool.imap(search, todo, chunksize=1) if pool else map(search, todo)
+        for index, prefix in enumerate(prefixes):
+            outcome = loaded.get(index)
+            if outcome is None:
+                outcome = next(computed)
+                if checkpoint_dir is not None:
+                    path = _checkpoint_path(checkpoint_dir, index)
+                    write_shard_checkpoint(path, n, d, index, prefix, *outcome)
+            best, witness, examined = outcome
+            examined_total += examined
+            if witness is not None and (best_value is None or best > best_value):
+                best_value, best_witness = best, witness
     if best_value is None or best_witness is None:
         if loaded:
             raise ValueError(f"checkpoints in {checkpoint_dir} hold no witness")
@@ -534,7 +531,7 @@ TABLE_SEARCH_CAP = 8
 
 
 def reproduce_table(
-    max_n: int, *, convex_cap: int = TABLE_SEARCH_CAP, workers: int = 1
+    max_n: int, *, convex_cap: int = TABLE_SEARCH_CAP
 ) -> list[TableEntry]:
     """Best-known values for every feasible (n, d) with 4 <= n <= max_n.
 
@@ -559,6 +556,6 @@ def reproduce_table(
                 status = "discrepancy"
             search_value = None
             if n <= convex_cap:
-                search_value = convex_max(n, d, workers=workers).max_crossings
+                search_value = convex_max(n, d).max_crossings
             entries.append(TableEntry(n, d, value, status, reference, search_value))
     return entries

@@ -311,3 +311,15 @@ class TestExitCodes:
 
     def test_success_is_zero(self, capsys):
         assert run_cli(capsys, "formula", "--n", "6", "--d", "3")[0] == 0
+
+    def test_interrupt(self, capsys, monkeypatch):
+        import maxcross.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "_cmd_formula", interrupted)
+        code, out, err = run_cli(capsys, "formula", "--n", "6", "--d", "3")
+        assert code == 130
+        assert out == ""
+        assert err == "error: interrupted\n"

@@ -264,6 +264,39 @@ class TestCheckpoints:
         with pytest.raises(ValueError):
             convex_max(6, 4, checkpoint_dir=str(tmp_path))
 
+    def test_interrupted_run_keeps_every_finished_shard(self, tmp_path, monkeypatch):
+        import maxcross.search as search
+
+        class Stop(Exception):
+            """Stands in for Ctrl-C, which pytest would take as a session abort."""
+
+        fresh_dir, run_dir = tmp_path / "fresh", tmp_path / "run"
+        fresh = convex_max(7, 4, checkpoint_dir=str(fresh_dir))
+        stop_at = 5  # the sixth shard search raises
+        original = search._search_shard
+        calls = []
+
+        def interrupted(*args, **kwargs):
+            if len(calls) == stop_at:
+                raise Stop
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(search, "_search_shard", interrupted)
+        with pytest.raises(Stop):
+            convex_max(7, 4, checkpoint_dir=str(run_dir))
+        kept = {f"shard-{i}.ckpt" for i in range(stop_at)}
+        assert set(os.listdir(run_dir)) == kept
+        monkeypatch.undo()
+        resumed = convex_max(7, 4, checkpoint_dir=str(run_dir))
+        assert resumed.max_crossings == fresh.max_crossings
+        assert resumed.witness == fresh.witness
+        assert resumed.graphs_examined == fresh.graphs_examined
+        names = sorted(os.listdir(fresh_dir))
+        assert sorted(os.listdir(run_dir)) == names and len(names) > stop_at
+        for name in names:
+            assert (run_dir / name).read_bytes() == (fresh_dir / name).read_bytes(), name
+
 
 class TestSamplers:
     def test_graph_sampler_valid_and_deterministic(self):
