@@ -7,6 +7,23 @@ graph and reordering polygon slots are the same operation.  The stream of
 labeled graphs is split into independent shards by the edge set at vertex
 0, searched depth-first with an optimistic crossing bound, and merged
 deterministically.
+
+The same relabeling argument gives a second collapse: the 2n rotations and
+reflections of the labels keep the count under the identity order, so one
+labeling per dihedral orbit is enough.  A vertex v's forward pattern is
+sorted((x - v) % n for x in N(v)) and its backward pattern
+sorted((v - x) % n for x in N(v)); they are the neighbourhood of 0 after
+relabeling by the rotation or the reflection that sends v to 0.  The search
+keeps a graph only if sorted(N(0)) is lexicographically at most every
+vertex's two patterns.  A saturated vertex's neighbourhood is final, so the
+test cuts prefixes: at the shard root for vertex 0, in the prune hook for
+each vertex the last edge saturated, and at a leaf for both endpoints of
+the last edge.  The witness is unchanged.  The lexicographically least
+maximizer is the least member of its orbit, and the first d edges of any
+relabeling join 0 to one vertex's forward or backward pattern, so it passes.
+The prune stays strict, so it is reached, and no graph before it in stream
+order is a maximizer, so the strictly-greater merge still reports it, also
+when some shards come from checkpoints written without this test.
 """
 
 from __future__ import annotations
@@ -82,23 +99,38 @@ def _search_shard(
     seeds pruning: branches whose optimistic completion cannot beat it are
     cut, while ties stay reachable, so the first graph attaining the final
     maximum in lexicographic stream order is always found.  Graphs examined
-    counts the leaves reached, so a sharper bound lowers it.
+    counts the leaves reached that keep the dihedral test (module
+    docstring), so a sharper bound lowers it.  A shard whose vertex-0 star
+    fails that test returns (floor, None, 0) without a walk.
     """
-    edge_index, masks = _chord_tables(n)
+    edge_index, masks, pattern_bits = _chord_tables(n)
+    own = sum(1 << n - 1 - w for _, w in prefix)
+    if sum(1 << w - 1 for _, w in prefix) > own:  # vertex 0's backward pattern
+        return floor, None, 0
     m = n * d // 2
     max_partners = m - 2 * d + 1
+    full = (1 << n) - 1
     # crossings[k] and placed[k]: crossing count and edge bitmask of the
     # first k edges on the walk's current path; shared[k]: the pairs of edges
-    # still to place that meet at a vertex, sum of C(free stubs, 2).
+    # still to place that meet at a vertex, sum of C(free stubs, 2);
+    # patterns[k]: every vertex's two pattern keys (see _chord_tables).
     crossings = [0] * (m + 1)
     placed = [0] * (m + 1)
     shared = [0] * (m + 1)
+    patterns = [0] * (m + 1)
 
     def place(k: int, edge: Edge) -> int:
         index = edge_index[edge]
         crossings[k] = crossings[k - 1] + (masks[index] & placed[k - 1]).bit_count()
         placed[k] = placed[k - 1] | (1 << index)
+        patterns[k] = patterns[k - 1] | pattern_bits[index]
         return crossings[k]
+
+    def outranks(k: int, v: int) -> bool:
+        """True when a pattern of the saturated vertex v is lexicographically
+        below vertex 0's forward pattern, so no completion is kept."""
+        keys = patterns[k] >> 2 * n * v
+        return keys & full > own or keys >> n & full > own
 
     for k, edge in enumerate(prefix, 1):
         place(k, edge)
@@ -108,6 +140,10 @@ def _search_shard(
         if k > len(prefix):
             u, w = stack[-1]
             current = place(k, (u, w))
+            if (not remaining[u] and outranks(k, u)) or (
+                not remaining[w] and outranks(k, w)
+            ):
+                return True
             # C(r, 2) - C(r - 1, 2) = r - 1, and remaining is already r - 1.
             shared[k] = shared[k - 1] - remaining[u] - remaining[w]
         else:  # the shard's root, reached once
@@ -129,8 +165,11 @@ def _search_shard(
     witness: Optional[tuple[Edge, ...]] = None
     examined = 0
     for edges in lex_fill(n, d, prefix, prune):
+        u, w = edges[-1]
+        current = place(m, (u, w))
+        if outranks(m, u) or outranks(m, w):
+            continue
         examined += 1
-        current = place(m, edges[-1])
         if current > best:
             best = current
             witness = edges
@@ -186,11 +225,33 @@ def _residual_capacity(
 
 
 @lru_cache(maxsize=None)
-def _chord_tables(n: int) -> tuple[dict[Edge, int], tuple[int, ...]]:
-    """Index and interleave mask of every chord (a, b) of the n-gon, built
-    once per n per process; callers only read them."""
+def _chord_tables(
+    n: int,
+) -> tuple[dict[Edge, int], tuple[int, ...], tuple[int, ...]]:
+    """Index, interleave mask and pattern bits of every chord (a, b) of the
+    n-gon, built once per n per process; callers only read them.
+
+    A pattern, a sorted tuple of offsets in 1..n-1, is keyed by the sum of
+    1 << (n - 1 - p) over its offsets p.  For patterns of equal size, a
+    lexicographically smaller tuple has the larger key.  The keys of vertex
+    v's forward and backward patterns sit in n-bit rows 2v and 2v + 1 of one
+    integer, and a chord's pattern bits are its share of those four rows, so
+    OR-ing the bits of a graph's chords gives every vertex's two keys.
+    """
     chords = list(combinations(range(n), 2))
-    return {e: i for i, e in enumerate(chords)}, tuple(interleave_masks(chords))
+
+    def key(v: int, row: int, offset: int) -> int:
+        return 1 << (2 * v + row) * n + n - 1 - offset % n
+
+    pattern_bits = tuple(
+        key(a, 0, b - a) | key(b, 0, a - b) | key(a, 1, a - b) | key(b, 1, b - a)
+        for a, b in chords
+    )
+    return (
+        {e: i for i, e in enumerate(chords)},
+        tuple(interleave_masks(chords)),
+        pattern_bits,
+    )
 
 
 def _checkpoint_path(directory: str, index: int) -> str:

@@ -5,7 +5,9 @@ The geometric references decide everything with `orientation` and
 code with the integer side-table kernel they are compared against.  The
 pairing sampler is the exactly uniform model the switch-chain sampler is
 compared against, and the stack-based residual capacity is the plain
-definition the search's one-pass capacity is compared against.
+definition the search's one-pass capacity is compared against.  The
+dihedral predicate relabels the whole graph under each of the 2n rotations
+and reflections, where the search reads bit-packed neighbourhood patterns.
 """
 
 import random
@@ -89,6 +91,33 @@ def residual_capacity(stack, remaining):
         outside = total - inside - remaining[a] - remaining[b]
         capacity += inside if inside < outside else outside
     return capacity
+
+
+def dihedral_maps(n):
+    """The 2n relabelings x -> (x + s) % n and x -> (s - x) % n, the
+    rotations and reflections of the n-gon's labels."""
+    rotations = [lambda x, s=s: (x + s) % n for s in range(n)]
+    return rotations + [lambda x, s=s: (s - x) % n for s in range(n)]
+
+
+def dihedral_relabelings(graph):
+    """Sorted edge tuples of the graph under each of dihedral_maps."""
+    return [
+        tuple(sorted(tuple(sorted((f(a), f(b)))) for a, b in graph.edges))
+        for f in dihedral_maps(graph.n)
+    ]
+
+
+def keeps_dihedral_representative(graph):
+    """True when no rotation or reflection of the labels gives vertex 0 a
+    lexicographically smaller sorted neighbourhood than it has now."""
+    own = sorted(v for u, v in graph.edges if u == 0)
+    for f in dihedral_maps(graph.n):
+        images = [(f(a), f(b)) for a, b in graph.edges]
+        # an edge at 0 has one end 0, so the sum of its ends is the other one
+        if sorted(a + b for a, b in images if a == 0 or b == 0) < own:
+            return False
+    return True
 
 
 @st.composite

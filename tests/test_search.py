@@ -35,7 +35,12 @@ from maxcross.search import (
     sample_regular_graph,
     write_shard_checkpoint,
 )
-from reference import residual_capacity, sample_by_pairing
+from reference import (
+    dihedral_relabelings,
+    keeps_dihedral_representative,
+    residual_capacity,
+    sample_by_pairing,
+)
 
 
 @functools.cache
@@ -45,6 +50,16 @@ def _convex_stream(n, d):
     return [
         (graph.edges, crossings_convex(graph, order).total)
         for graph in enumerate_labeled_regular(n, d)
+    ]
+
+
+@functools.cache
+def _kept_stream(n, d):
+    """The part of _convex_stream that keeps the dihedral reference test."""
+    return [
+        (edges, total)
+        for edges, total in _convex_stream(n, d)
+        if keeps_dihedral_representative(RegularGraph(n, d, edges))
     ]
 
 
@@ -80,13 +95,40 @@ class TestConvexMax:
 
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 2), (8, 3), (8, 4), (8, 6)])
     def test_every_shard_matches_brute_force(self, n, d):
-        # with floor 0 nothing but the bound prunes, so a bound that is too
-        # tight anywhere shows as a wrong shard maximum or witness
+        # with floor 0 nothing but the bound and the dihedral test prunes, so a
+        # bound that is too tight anywhere shows as a wrong shard maximum or
+        # witness among the graphs the reference predicate keeps
         for prefix in shard_prefixes(n, d):
-            shard = [(e, total) for e, total in _convex_stream(n, d) if e[:d] == prefix]
+            shard = [(e, total) for e, total in _kept_stream(n, d) if e[:d] == prefix]
             best = max((total for _, total in shard), default=0)
             first = next((e for e, total in shard if total == best), None)
             assert _search_shard(n, d, prefix, 0)[:2] == (best, first), prefix
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (7, 4), (8, 3), (8, 4)])
+    def test_orbit_minimum_is_kept(self, n, d):
+        # the search may drop every labeling but one per dihedral orbit only
+        # if the one it keeps is the orbit's least, where the lex-least
+        # maximizer lives; the predicate must also drop something
+        seen = set()
+        rejected = 0
+        for graph in enumerate_labeled_regular(n, d):
+            if graph.edges in seen:
+                continue
+            orbit = set(dihedral_relabelings(graph))
+            seen |= orbit
+            assert min(orbit) == graph.edges  # the stream is lexicographic
+            assert keeps_dihedral_representative(graph), graph.edges
+            rejected += not keeps_dihedral_representative(RegularGraph(n, d, max(orbit)))
+        assert rejected
+
+    def test_shard_with_a_smaller_reflected_star_is_skipped(self):
+        # reflecting the labels through 0 turns N(0) = {1, 3, 7, 8} into
+        # {1, 2, 6, 8}, so no graph of this shard is kept; vertex 8 ties with
+        # vertex 0 on its first offset, so the test at the root is what cuts it
+        prefix = ((0, 1), (0, 3), (0, 7), (0, 8))
+        graph = next(enumerate_labeled_regular(9, 4, prefix=prefix))
+        assert not keeps_dihedral_representative(graph)
+        assert _search_shard(9, 4, prefix, 0) == (0, None, 0)
 
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
     def test_future_pair_bound_is_admissible(self, n, d):
@@ -263,6 +305,26 @@ class TestCheckpoints:
         convex_max(6, 2, checkpoint_dir=str(tmp_path))
         with pytest.raises(ValueError):
             convex_max(6, 4, checkpoint_dir=str(tmp_path))
+
+    def test_resume_from_checkpoints_of_every_labeling(self, tmp_path):
+        # a search that kept every labeling recorded, per shard, the first
+        # graph of the whole shard reaching its best at or above the floor;
+        # resuming from half the shards in that form must not move the result
+        n, d = 7, 4
+        floor = best_known(n, d).lower
+        fresh = convex_max(n, d)
+        for index, prefix in enumerate(shard_prefixes(n, d)):
+            if index % 2:
+                continue
+            shard = [(e, total) for e, total in _convex_stream(n, d) if e[:d] == prefix]
+            best = max([floor] + [total for _, total in shard])
+            first = next((e for e, total in shard if total == best), None)
+            path = str(tmp_path / f"shard-{index}.ckpt")
+            write_shard_checkpoint(path, n, d, index, prefix, best, first, len(shard))
+        resumed = convex_max(n, d, checkpoint_dir=str(tmp_path))
+        assert (resumed.max_crossings, resumed.witness) == (fresh.max_crossings, fresh.witness)
+        # the written shards were merged: they count every labeled graph
+        assert resumed.graphs_examined > fresh.graphs_examined
 
     def test_interrupted_run_keeps_every_finished_shard(self, tmp_path, monkeypatch):
         import maxcross.search as search
