@@ -104,9 +104,6 @@ def _search_shard(
     fails that test returns (floor, None, 0) without a walk.
     """
     edge_index, masks, pattern_bits = _chord_tables(n)
-    own = sum(1 << n - 1 - w for _, w in prefix)
-    if sum(1 << w - 1 for _, w in prefix) > own:  # vertex 0's backward pattern
-        return floor, None, 0
     m = n * d // 2
     max_partners = m - 2 * d + 1
     full = (1 << n) - 1
@@ -134,6 +131,11 @@ def _search_shard(
 
     for k, edge in enumerate(prefix, 1):
         place(k, edge)
+    # The prefix saturates vertex 0: its forward key is the one to beat, and
+    # the shard is empty if its own backward key beats it.
+    own = patterns[len(prefix)] & full
+    if outranks(len(prefix), 0):
+        return floor, None, 0
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
         k = len(stack)
