@@ -16,9 +16,9 @@ sorted((v - x) % n for x in N(v)); they are the neighbourhood of 0 after
 relabeling by the rotation or the reflection that sends v to 0.  The search
 keeps a graph only if sorted(N(0)) is lexicographically at most every
 vertex's two patterns.  A saturated vertex's neighbourhood is final, so the
-test cuts prefixes: at the shard root for vertex 0, in the prune hook for
-each vertex the last edge saturated, and at a leaf for both endpoints of
-the last edge.  The witness is unchanged.  The lexicographically least
+test cuts prefixes: convex_max skips the vertex-0 stars that fail it, the
+prune hook tests each vertex the last edge saturated, and a leaf both ends
+of the last edge.  The witness is unchanged.  The lexicographically least
 maximizer is the least member of its orbit, and the first d edges of any
 relabeling join 0 to one vertex's forward or backward pattern, so it passes.
 The prune stays strict, so it is reached, and no graph before it in stream
@@ -100,8 +100,8 @@ def _search_shard(
     cut, while ties stay reachable, so the first graph attaining the final
     maximum in lexicographic stream order is always found.  Graphs examined
     counts the leaves reached that keep the dihedral test (module
-    docstring), so a sharper bound lowers it.  A shard whose vertex-0 star
-    fails that test returns (floor, None, 0) without a walk.
+    docstring), so a sharper bound lowers it.  Vertex 0 is not tested here:
+    callers pass only stars that keep the test, as convex_max does.
     """
     edge_index, masks, pattern_bits = _chord_tables(n)
     m = n * d // 2
@@ -131,11 +131,8 @@ def _search_shard(
 
     for k, edge in enumerate(prefix, 1):
         place(k, edge)
-    # The prefix saturates vertex 0: its forward key is the one to beat, and
-    # the shard is empty if its own backward key beats it.
+    # The prefix saturates vertex 0: its forward key is the one to beat.
     own = patterns[len(prefix)] & full
-    if outranks(len(prefix), 0):
-        return floor, None, 0
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
         k = len(stack)
@@ -156,11 +153,8 @@ def _search_shard(
             return True
         # Sharper, and only worth computing here: the placed chords gain at
         # most their residual capacity, and two edges still to place cross
-        # only if they share no vertex, so at most C(left, 2) - shared[k]
-        # times, or left * max_partners / 2 (every edge has at most
-        # max_partners partners, each pair counted twice).
-        future = min(left * (left - 1) // 2 - shared[k], left * max_partners // 2)
-        slack = best - current - future
+        # only if they share no vertex, so at most C(left, 2) - shared[k] times.
+        slack = best - current - (left * (left - 1) // 2 - shared[k])
         return slack > 0 and _residual_capacity(d, stack, remaining, 2 * left) < slack
 
     best = floor
@@ -380,12 +374,13 @@ def convex_max(
 ) -> SearchResult:
     """Maximum of crossings_convex over every labeled d-regular graph.
 
-    Work splits into one shard per possible edge set at vertex 0; shards
-    never share state, so results (witness and graphs_examined included)
-    are identical for any worker count.  With checkpoint_dir set, existing
-    ckpt v1 files are verified and skipped before any search starts, and
-    each searched shard is written as it is merged, in index order, so an
-    interrupted run keeps every shard before the first unfinished one.
+    Work splits into one shard per edge set at vertex 0 that can hold a
+    kept graph; shards never share state, so results (witness and
+    graphs_examined included) are identical for any worker count.  With
+    checkpoint_dir set, those shards' ckpt v1 files are verified and
+    skipped before any search starts, and each searched shard is written as
+    it is merged, in index order, so an interrupted run keeps every shard
+    before the first unfinished one.
     """
     effective_cap = LONG_RUN_CAP if long_run else SEARCH_CAP
     if n > effective_cap:
@@ -398,18 +393,23 @@ def convex_max(
     started = time.perf_counter()
     bounds = best_known(n, d)
     floor = bounds.lower
-    prefixes = shard_prefixes(n, d)
+    # A star whose backward pattern beats its forward one holds no kept graph.
+    shards = [
+        (index, prefix)
+        for index, prefix in enumerate(shard_prefixes(n, d))
+        if tuple(sorted(n - w for _, w in prefix)) >= tuple(w for _, w in prefix)
+    ]
     loaded: dict[int, tuple[int, Optional[tuple[Edge, ...]], int]] = {}
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
-        for index, prefix in enumerate(prefixes):
+        for index, prefix in shards:
             path = _checkpoint_path(checkpoint_dir, index)
             if os.path.exists(path):
                 data = load_shard_checkpoint(path)
                 _verify_shard(path, data, (n, d, index, prefix), floor, bounds.upper)
                 loaded[index] = (data["best"], data["witness"], data["examined"])
 
-    todo = [prefix for index, prefix in enumerate(prefixes) if index not in loaded]
+    todo = [prefix for index, prefix in shards if index not in loaded]
     search = partial(_search_shard, n, d, floor=floor)
     size = _pool_size(workers, len(todo))
     best_value = None
@@ -422,7 +422,7 @@ def convex_max(
         else contextlib.nullcontext()
     ) as pool:
         computed = pool.imap(search, todo, chunksize=1) if pool else map(search, todo)
-        for index, prefix in enumerate(prefixes):
+        for index, prefix in shards:
             outcome = loaded.get(index)
             if outcome is None:
                 outcome = next(computed)

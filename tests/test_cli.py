@@ -5,7 +5,12 @@ from pathlib import Path
 import pytest
 
 from maxcross.cli import RenderStyle, main, render_svg
-from maxcross.constructions import generalized_star, star_like_deletion, star_like_even
+from maxcross.constructions import (
+    CONSTRUCTION_CAP,
+    generalized_star,
+    star_like_deletion,
+    star_like_even,
+)
 from maxcross.graph import RegularGraph
 from maxcross.search import PROBE_CAP
 
@@ -249,6 +254,22 @@ class TestExitCodes:
     def test_probe_cap(self, capsys):
         argv = ("search", "--mode", "probe", "--n", str(PROBE_CAP + 1), "--d", "4")
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "kind, n, d",
+        [("star", CONSTRUCTION_CAP + 1, CONSTRUCTION_CAP), ("starlike", CONSTRUCTION_CAP + 2, 4)],
+    )
+    def test_construction_cap(self, capsys, monkeypatch, kind, n, d):
+        import maxcross.constructions as constructions
+
+        def refuse(*args):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(constructions, "make_circulant", refuse)
+        code, out, err = run_cli(capsys, "construct", kind, "--n", str(n), "--d", str(d))
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -63,6 +63,21 @@ def _kept_stream(n, d):
     ]
 
 
+def _record_searched_stars(monkeypatch):
+    """Prefixes convex_max passes to _search_shard, in call order."""
+    import maxcross.search as search
+
+    searched = []
+    original = search._search_shard
+
+    def spy(n, d, prefix, floor):
+        searched.append(prefix)
+        return original(n, d, prefix, floor)
+
+    monkeypatch.setattr(search, "_search_shard", spy)
+    return searched
+
+
 class TestConvexMax:
     @pytest.mark.parametrize(
         "n,d,value",
@@ -94,12 +109,20 @@ class TestConvexMax:
                 assert (result.max_crossings, result.witness.edges) == (best, first), (n, d)
 
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 2), (8, 3), (8, 4), (8, 6)])
-    def test_every_shard_matches_brute_force(self, n, d):
+    def test_every_shard_matches_brute_force(self, n, d, monkeypatch):
         # with floor 0 nothing but the bound and the dihedral test prunes, so a
         # bound that is too tight anywhere shows as a wrong shard maximum or
-        # witness among the graphs the reference predicate keeps
+        # witness among the graphs the reference predicate keeps; a star that
+        # convex_max does not search must start no kept graph at all
+        searched = _record_searched_stars(monkeypatch)
+        convex_max(n, d)
+        monkeypatch.undo()
+        assert searched
         for prefix in shard_prefixes(n, d):
             shard = [(e, total) for e, total in _kept_stream(n, d) if e[:d] == prefix]
+            if prefix not in searched:
+                assert not shard, prefix
+                continue
             best = max((total for _, total in shard), default=0)
             first = next((e for e, total in shard if total == best), None)
             assert _search_shard(n, d, prefix, 0)[:2] == (best, first), prefix
@@ -121,14 +144,39 @@ class TestConvexMax:
             rejected += not keeps_dihedral_representative(RegularGraph(n, d, max(orbit)))
         assert rejected
 
-    def test_shard_with_a_smaller_reflected_star_is_skipped(self):
+    def test_shard_with_a_smaller_reflected_star_is_skipped(self, tmp_path, monkeypatch):
         # reflecting the labels through 0 turns N(0) = {1, 3, 7, 8} into
         # {1, 2, 6, 8}, so no graph of this shard is kept; vertex 8 ties with
-        # vertex 0 on its first offset, so the test at the root is what cuts it
+        # vertex 0 on its first offset, so only the star at vertex 0 rules it out
         prefix = ((0, 1), (0, 3), (0, 7), (0, 8))
+        assert shard_prefixes(9, 4)[24] == prefix
         graph = next(enumerate_labeled_regular(9, 4, prefix=prefix))
         assert not keeps_dihedral_representative(graph)
-        assert _search_shard(9, 4, prefix, 0) == (0, None, 0)
+        searched = _record_searched_stars(monkeypatch)
+        convex_max(9, 4, checkpoint_dir=str(tmp_path))
+        assert searched and prefix not in searched
+        names = os.listdir(tmp_path)
+        assert len(names) == len(searched) and "shard-24.ckpt" not in names
+
+    def test_only_kept_shards_are_written_and_old_files_ignored(self, tmp_path):
+        # stars 8, 9 and 11-14 of (7, 4) hold no kept graph; files for them in
+        # the form a run that still searched every star wrote are not read
+        n, d = 7, 4
+        prefixes = shard_prefixes(n, d)
+        dropped = {8, 9, 11, 12, 13, 14}
+        fresh = convex_max(n, d, checkpoint_dir=str(tmp_path))
+        written = {f"shard-{i}.ckpt" for i in range(len(prefixes)) if i not in dropped}
+        assert len(written) == 9 and set(os.listdir(tmp_path)) == written
+        floor = best_known(n, d).lower
+        for index in dropped:
+            path = str(tmp_path / f"shard-{index}.ckpt")
+            write_shard_checkpoint(path, n, d, index, prefixes[index], floor, None, 0)
+        resumed = convex_max(n, d, checkpoint_dir=str(tmp_path))
+        assert (resumed.max_crossings, resumed.witness, resumed.graphs_examined) == (
+            fresh.max_crossings,
+            fresh.witness,
+            fresh.graphs_examined,
+        )
 
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
     def test_future_pair_bound_is_admissible(self, n, d):
