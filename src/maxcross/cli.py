@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,22 +27,10 @@ from .graph import Edge
 from .search import SearchResult, convex_max, perturbation_probe, reproduce_table
 
 
-@dataclass(frozen=True)
-class RenderStyle:
-    """Visual parameters for SVG output.
-
-    highlight edges are drawn dashed; they may reference vertex pairs that
-    are not edges of the graph (deleted-edge visualization).
-    """
-
-    scale: float = 24.0
-    vertex_radius: float = 5.0
-    stroke_width: float = 1.6
-    highlight: frozenset[Edge] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0 or self.vertex_radius <= 0 or self.stroke_width <= 0:
-            raise ValueError("render dimensions must be positive")
+# SVG sizes: user units per drawing unit, then vertex radius and line width.
+SCALE = 24.0
+VERTEX_RADIUS = 5.0
+STROKE_WIDTH = 1.6
 
 
 def _circle_points(n: int) -> list[tuple[float, float]]:
@@ -56,18 +43,18 @@ def _circle_points(n: int) -> list[tuple[float, float]]:
 
 def render_svg(
     drawing: GeometricDrawing,
-    style: RenderStyle | None = None,
+    highlight: frozenset[Edge] = frozenset(),
     *,
     circle_layout: bool = False,
 ) -> str:
     """Render a drawing as a standalone SVG 1.1 document.
 
+    highlight edges are drawn dashed; they may name vertex pairs that are
+    not edges of the graph (deleted-edge visualization).
     circle_layout re-embeds the vertices on a regular n-gon for display;
     it changes pixels only, never any reported count.  The viewBox is the
     bounding box of the points plus a 5 percent margin.
     """
-    if style is None:
-        style = RenderStyle()
     n = drawing.graph.n
     if circle_layout:
         pts = _circle_points(n)
@@ -78,23 +65,23 @@ def render_svg(
     min_y = min(y for _, y in pts)
     max_y = max(y for _, y in pts)
     pad = max(max_x - min_x, max_y - min_y, 1.0) * 0.05
-    width = (max_x - min_x + 2 * pad) * style.scale
-    height = (max_y - min_y + 2 * pad) * style.scale
+    width = (max_x - min_x + 2 * pad) * SCALE
+    height = (max_y - min_y + 2 * pad) * SCALE
 
     def tx(x: float) -> str:
-        return f"{(x - min_x + pad) * style.scale:.3f}"
+        return f"{(x - min_x + pad) * SCALE:.3f}"
 
     def ty(y: float) -> str:
         # SVG y grows downward; flip so the drawing keeps its orientation.
-        return f"{(max_y - y + pad) * style.scale:.3f}"
+        return f"{(max_y - y + pad) * SCALE:.3f}"
 
     lines = [
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="0 0 {width:.3f} {height:.3f}">',
-        f'<g stroke="black" stroke-width="{style.stroke_width:.3f}" fill="none">',
+        f'<g stroke="black" stroke-width="{STROKE_WIDTH:.3f}" fill="none">',
     ]
-    solid = [e for e in drawing.graph.edges if e not in style.highlight]
-    dashed = sorted(style.highlight)
+    solid = [e for e in drawing.graph.edges if e not in highlight]
+    dashed = sorted(highlight)
     for u, v in dashed:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"dashed edge {u}-{v} names a vertex outside 0..{n - 1}")
@@ -113,7 +100,7 @@ def render_svg(
     lines.append('<g fill="black" stroke="none">')
     for x, y in pts:
         lines.append(
-            f'<circle cx="{tx(x)}" cy="{ty(y)}" r="{style.vertex_radius:.3f}" />'
+            f'<circle cx="{tx(x)}" cy="{ty(y)}" r="{VERTEX_RADIUS:.3f}" />'
         )
     lines.append("</g>")
     lines.append("</svg>")
@@ -261,8 +248,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_render(args: argparse.Namespace) -> int:
     drawing = load_drawing(args.file)
     highlight = _parse_edge_list(args.dashed) if args.dashed else frozenset()
-    style = RenderStyle(highlight=highlight)
-    svg = render_svg(drawing, style, circle_layout=args.circle_layout)
+    svg = render_svg(drawing, highlight, circle_layout=args.circle_layout)
     _write_text(args.output, svg)
     return 0
 

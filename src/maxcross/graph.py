@@ -185,6 +185,10 @@ def lex_fill(
     per-vertex free stubs (read, never modify); a true result skips the
     node's subtree.  Completed graphs are yielded, never pruned.
 
+    The edge stack is the walk's whole state: each edge (u, w) placed after
+    the prefix was placed by the node that fills u, and w is the partner
+    that node tried last, so backtracking pops it and resumes at w + 1.
+
     Contract, relied on by the convex search's capacity bound: at every
     prune call, with u the first vertex with free stubs, every vertex below
     u is saturated and no edge whose first endpoint is above u is placed.
@@ -203,31 +207,23 @@ def lex_fill(
         last = (u, v)
     stack = list(prefix)
     base = len(stack)
-    # One frame [u, w] per expanded node: the vertex it fills and its last
-    # candidate partner.  The frame at index i sits at stack depth base + i,
-    # so its child edge (u, w) is on the stack exactly when the stack is
-    # one deeper than that.
-    frames: list[list[int]] = []
     u = 0  # every vertex below u is saturated
     while True:
         while u < n and not remaining[u]:
             u += 1
         if u == n:
             yield tuple(stack)
+            w = n
         else:
+            # w is the partner last tried at this node; the scan resumes above it.
             lu, lw = stack[-1] if stack else (-1, -1)
-            start = lw + 1 if lu == u else u + 1
-            available = n - start - remaining[start:].count(0)
-            if available >= remaining[u] and not (prune and prune(stack, remaining)):
-                frames.append([u, start - 1])
-        # Move to the next candidate, backtracking out of exhausted nodes.
-        while frames:
-            frame = frames[-1]
-            u, w = frame
-            if len(stack) - base == len(frames):
-                stack.pop()
-                remaining[u] += 1
-                remaining[w] += 1
+            w = lw if lu == u else u
+            available = n - w - 1 - remaining[w + 1 :].count(0)
+            if available < remaining[u] or (prune and prune(stack, remaining)):
+                w = n
+        # Join u to its next free partner above w, backtracking out of
+        # exhausted nodes.
+        while True:
             w += 1
             while w < n and not remaining[w]:
                 w += 1
@@ -235,36 +231,27 @@ def lex_fill(
                 remaining[u] -= 1
                 remaining[w] -= 1
                 stack.append((u, w))
-                frame[1] = w
                 break
-            frames.pop()
-        else:
-            return
+            if len(stack) == base:
+                return
+            u, w = stack.pop()
+            remaining[u] += 1
+            remaining[w] += 1
 
 
-def enumerate_labeled_regular(
-    n: int,
-    d: int,
-    *,
-    cap: int = ENUMERATION_CAP,
-    prefix: tuple[Edge, ...] = (),
-    connected_only: bool = False,
-) -> Iterator[RegularGraph]:
+def enumerate_labeled_regular(n: int, d: int) -> Iterator[RegularGraph]:
     """Yield every labeled d-regular graph on n vertices, lexicographically.
 
     The stream order is the lexicographic order of sorted edge tuples; this
     is a contract other modules rely on (witness tie-breaking, sharding).
-    A forced-edge prefix restricts the stream to graphs whose sorted edge
-    list starts with exactly those edges.
+    The sub-stream of one shard prefix is lex_fill(n, d, prefix).
     """
-    if n > cap:
-        raise ResourceLimitError(f"n={n} exceeds enumeration cap {cap}")
+    if n > ENUMERATION_CAP:
+        raise ResourceLimitError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     if not feasible(n, d):
         return
-    for edges in lex_fill(n, d, prefix):
-        graph = RegularGraph._trusted(n, d, edges)
-        if not connected_only or len(connected_components(graph)) == 1:
-            yield graph
+    for edges in lex_fill(n, d):
+        yield RegularGraph._trusted(n, d, edges)
 
 
 def graph_to_text(graph: RegularGraph) -> str:

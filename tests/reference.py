@@ -8,6 +8,7 @@ compared against, and the stack-based residual capacity is the plain
 definition the search's one-pass capacity is compared against.  The
 dihedral predicate relabels the whole graph under each of the 2n rotations
 and reflections, where the search reads bit-packed neighbourhood patterns.
+The recursive walk is the plain form of the iterative `lex_fill`.
 """
 
 import random
@@ -91,6 +92,42 @@ def residual_capacity(stack, remaining):
         outside = total - inside - remaining[a] - remaining[b]
         capacity += inside if inside < outside else outside
     return capacity
+
+
+def reference_walk(n, d, prefix=(), prune=None):
+    """Sorted edge tuples of every labeled d-regular graph extending prefix,
+    by plain recursion: fill the first vertex with free stubs from partners
+    above its last partner, cut a node that has too few free partners left,
+    and only then ask prune(stack, remaining)."""
+    remaining = [d] * n
+    for u, v in prefix:
+        remaining[u] -= 1
+        remaining[v] -= 1
+    stack = list(prefix)
+
+    def visit():
+        unsaturated = [v for v in range(n) if remaining[v]]
+        if not unsaturated:
+            yield tuple(stack)
+            return
+        u = unsaturated[0]
+        if stack and stack[-1][0] == u:
+            start = stack[-1][1] + 1
+        else:
+            start = u + 1
+        partners = [w for w in range(start, n) if remaining[w]]
+        if len(partners) < remaining[u] or (prune and prune(stack, remaining)):
+            return
+        for w in partners:
+            stack.append((u, w))
+            remaining[u] -= 1
+            remaining[w] -= 1
+            yield from visit()
+            remaining[w] += 1
+            remaining[u] += 1
+            stack.pop()
+
+    yield from visit()
 
 
 def dihedral_maps(n):

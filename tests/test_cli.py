@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcross.cli import RenderStyle, main, render_svg
+from maxcross.cli import main, render_svg
 from maxcross.constructions import (
     CONSTRUCTION_CAP,
     generalized_star,
@@ -226,16 +226,9 @@ class TestRender:
 
 
 class TestRenderStyle:
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            RenderStyle(scale=0)
-        with pytest.raises(ValueError):
-            RenderStyle(vertex_radius=-1)
-
     def test_highlight_membership_splits_styles(self):
         drawing = star_like_even(8, 4)
-        style = RenderStyle(highlight=frozenset({drawing.graph.edges[0]}))
-        svg = render_svg(drawing, style)
+        svg = render_svg(drawing, frozenset({drawing.graph.edges[0]}))
         assert svg.count("stroke-dasharray") == 1
         assert svg.count("<line") == 16
 

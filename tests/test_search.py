@@ -150,7 +150,7 @@ class TestConvexMax:
         # vertex 0 on its first offset, so only the star at vertex 0 rules it out
         prefix = ((0, 1), (0, 3), (0, 7), (0, 8))
         assert shard_prefixes(9, 4)[24] == prefix
-        graph = next(enumerate_labeled_regular(9, 4, prefix=prefix))
+        graph = RegularGraph(9, 4, next(lex_fill(9, 4, prefix)))
         assert not keeps_dihedral_representative(graph)
         searched = _record_searched_stars(monkeypatch)
         convex_max(9, 4, checkpoint_dir=str(tmp_path))
