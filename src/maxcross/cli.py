@@ -8,6 +8,7 @@ to stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -253,7 +254,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first `run` call and reused after it."""
     parser = argparse.ArgumentParser(
         prog="maxcross",
         description="Maximum rectilinear crossing numbers of regular graphs.",
@@ -265,21 +268,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("-o", "--output", default=None, metavar="FILE")
-    p.set_defaults(handler=_cmd_construct)
 
     p = sub.add_parser("count", help="count crossings of a drawing file")
     p.add_argument("file")
-    p.set_defaults(handler=_cmd_count)
 
     p = sub.add_parser("analyze", help="endvertex-type profile of a drawing file")
     p.add_argument("file")
     p.add_argument("--check-lemma", action="store_true")
-    p.set_defaults(handler=_cmd_analyze)
 
     p = sub.add_parser("formula", help="best known bounds for (n, d)")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
-    p.set_defaults(handler=_cmd_formula)
 
     p = sub.add_parser(
         "search",
@@ -297,12 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--long-run", action="store_true")
     p.add_argument("--checkpoint-dir", default=None, metavar="DIR")
-    p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("table", help="best-known value table")
     p.add_argument("--max-n", type=int, required=True)
     p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(handler=_cmd_table)
 
     p = sub.add_parser("render", help="render a drawing file as SVG")
     p.add_argument("file")
@@ -310,21 +307,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--circle-layout", action="store_true")
     p.add_argument("--dashed", default=None, metavar="EDGES",
                    help="comma-separated edges drawn dashed, like 0-2,1-5")
-    p.set_defaults(handler=_cmd_render)
 
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     """Parse argv and dispatch; returns the process exit status."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.handler(args)
+        # Found by name at call time, not pinned in the cached parser.
+        return globals()[f"_cmd_{args.command}"](args)
     except (DegeneracyError, ConstructionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

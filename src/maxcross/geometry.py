@@ -107,20 +107,32 @@ class GeometricDrawing:
 
 
 def degeneracy(pts: Sequence[tuple[int, int]]) -> Optional[tuple[int, ...]]:
-    """None for int points in general position, else the first coincident
-    pair (i, j) or, failing that, the first collinear triple (i, j, k)."""
+    """None for int points in general position, else the first violation:
+    the lexicographically first coincident pair (i, j) or, failing that, the
+    lexicographically first collinear triple (i, j, k).
+
+    O(n^2) gcds and dict lookups: for each i in order, the later points
+    sharing a reduced direction from i are collinear with it, and the least
+    (j, k) over those classes completes the first triple through i.
+    """
     n = len(pts)
     if len(set(pts)) != n:
         return next((i, j) for i, j in combinations(range(n), 2) if pts[i] == pts[j])
     for i in range(n):
         ax, ay = pts[i]
-        for j in range(i + 1, n):
-            bx, by = pts[j]
-            dx, dy = bx - ax, by - ay
-            for k in range(j + 1, n):
-                cx, cy = pts[k]
-                if dx * (cy - ay) == dy * (cx - ax):
-                    return (i, j, k)
+        first: dict[tuple[int, int], int] = {}
+        best = None
+        for k in range(i + 1, n):
+            dx, dy = pts[k][0] - ax, pts[k][1] - ay
+            g = math.gcd(dx, dy)
+            if dx < 0 or (dx == 0 and dy < 0):
+                g = -g
+            j = first.setdefault((dx // g, dy // g), k)
+            # A class's second member is the first repeat seen; keep the least j.
+            if j != k and (best is None or j < best[0]):
+                best = (j, k)
+        if best is not None:
+            return (i, *best)
     return None
 
 

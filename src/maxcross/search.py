@@ -541,7 +541,7 @@ def perturbation_probe(n: int, d: int, trials: int, seed: int) -> SearchResult:
     fixed number of steps, close to uniform rather than exactly uniform), so
     every trial does bounded work.  Deterministic for fixed seed.  Raises
     ResourceLimitError above PROBE_CAP vertices: a trial's general-position
-    check is cubic in n and its crossing count quadratic in m.
+    check is quadratic in n and its crossing count quadratic in m.
     """
     if n > PROBE_CAP:
         raise ResourceLimitError(f"n={n} exceeds probe cap {PROBE_CAP}")

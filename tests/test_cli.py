@@ -326,6 +326,28 @@ class TestExitCodes:
     def test_success_is_zero(self, capsys):
         assert run_cli(capsys, "formula", "--n", "6", "--d", "3")[0] == 0
 
+    def test_parser_reuse(self, capsys, tmp_path):
+        import maxcross.cli as cli
+
+        drw = str(tmp_path / "s.drw")
+        sequence = [
+            ("formula", "--n", "8"),
+            ("formula", "--n", "8", "--d", "4"),
+            ("search", "--n", "7", "--d", "4", "--workers", "2"),
+            ("construct", "star", "--n", "9", "--d", "4", "-o", drw),
+            ("count", drw),
+            ("analyze", drw, "--check-lemma"),
+        ]
+        cli._build_parser.cache_clear()
+        first = [run_cli(capsys, *argv) for argv in sequence]
+        again = [run_cli(capsys, *argv) for argv in sequence]
+        assert cli._build_parser.cache_info().misses == 1
+        assert first == again
+        code, out, err = first[0]
+        assert code == 2 and out == "" and err.startswith("usage: maxcross formula")
+        assert [code for code, _, _ in first[1:]] == [0] * 5
+        assert "crossings 81" in first[4][1].splitlines()
+
     def test_interrupt(self, capsys, monkeypatch):
         import maxcross.cli as cli
 

@@ -20,6 +20,7 @@ from maxcross.geometry import (
     Point,
     count_crossings_geometric,
     crossing_total,
+    degeneracy,
     drawing_from_text,
     drawing_to_text,
     orientation,
@@ -33,8 +34,21 @@ from reference import general_drawings, halves, reference_report, reference_viol
 coords = st.integers(min_value=-50, max_value=50)
 points = st.builds(point, coords, coords)
 rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
-# Few distinct values, so coincident points and collinear triples are common.
-tiny = st.sampled_from([Fraction(k, 2) for k in range(-3, 4)])
+
+
+@st.composite
+def grid_points(draw):
+    """3 to 30 int points on a grid of half-width 1 to 6 centred on the
+    origin: dense collinearity, axis-parallel lines and negative
+    coordinates; half the lists allow coincident points."""
+    k = draw(st.integers(1, 6))
+    n = draw(st.integers(3, 30))
+    unique = draw(st.booleans())
+    if unique:
+        n = min(n, (2 * k + 1) ** 2 // 2)
+    coordinate = st.integers(-k, k)
+    return draw(st.lists(st.tuples(coordinate, coordinate),
+                         min_size=n, max_size=n, unique=unique))
 
 
 def parabola(n: int) -> tuple[Point, ...]:
@@ -107,13 +121,19 @@ class TestGeneralPosition:
         pts = (point(0, 0), point(1, 1), point(2, 2), point(0, 5))
         d = GeometricDrawing(make_cycle(4), pts)
         assert validate_general_position(d) == (0, 1, 2)
+        # (0, 2, 3) is the first repeated direction from 0, but (0, 1, 4) comes first.
+        pts = (point(0, 0), point(1, 0), point(0, 1), point(0, 2), point(2, 0))
+        d = GeometricDrawing(make_cycle(5), pts)
+        assert validate_general_position(d) == (0, 1, 4)
 
-    @given(st.integers(4, 8).flatmap(lambda n: st.lists(
-        st.builds(Point, tiny, tiny), min_size=n, max_size=n)))
+    @given(grid_points())
     @settings(max_examples=200, deadline=None)
-    def test_first_violation_matches_orientation_scan(self, pts):
+    def test_first_violation_matches_orientation_scan(self, coords):
+        # Half-integer Points, so the drawing's grid clears a denominator.
+        pts = [Point(Fraction(x, 2), Fraction(y, 2)) for x, y in coords]
         drawing = GeometricDrawing(make_cycle(len(pts)), tuple(pts))
         expected = reference_violation(pts)
+        assert degeneracy(coords) == expected
         assert validate_general_position(drawing) == expected
         if expected is not None:
             with pytest.raises(DegeneracyError) as info:
