@@ -100,12 +100,11 @@ def _search_shard(
     cut, while ties stay reachable, so the first graph attaining the final
     maximum in lexicographic stream order is always found.  Graphs examined
     counts the leaves reached that keep the dihedral test (module
-    docstring), so a sharper bound lowers it.  Vertex 0 is not tested here:
-    callers pass only stars that keep the test, as convex_max does.
+    docstring), so a sharper bound lowers it.  The prefix is vertex 0's
+    star; the shard's root is pruned like every other node.
     """
     edge_index, masks, pattern_bits = _chord_tables(n)
     m = n * d // 2
-    max_partners = m - 2 * d + 1
     full = (1 << n) - 1
     # crossings[k] and placed[k]: crossing count and edge bitmask of the
     # first k edges on the walk's current path; shared[k]: the pairs of edges
@@ -129,31 +128,32 @@ def _search_shard(
         keys = patterns[k] >> 2 * n * v
         return keys & full > own or keys >> n & full > own
 
+    # After the k-th star edge vertex 0 keeps d - k stubs and the partner
+    # d - 1, so shared drops by both, as in prune below.
+    shared[0] = n * (d * (d - 1) // 2)
     for k, edge in enumerate(prefix, 1):
         place(k, edge)
+        shared[k] = shared[k - 1] - (d - k) - (d - 1)
     # The prefix saturates vertex 0: its forward key is the one to beat.
     own = patterns[len(prefix)] & full
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
+        """Place the node's last edge again, run the dihedral test on the
+        vertices it saturated, and cut when no completion can beat best: the
+        placed chords gain at most their residual capacity, and two edges
+        still to place cross only if they share no vertex, so at most
+        C(left, 2) - shared[k] times.  At the root the last edge is the
+        star's, and placing it again gives the values the prefix loop set."""
         k = len(stack)
-        if k > len(prefix):
-            u, w = stack[-1]
-            current = place(k, (u, w))
-            if (not remaining[u] and outranks(k, u)) or (
-                not remaining[w] and outranks(k, w)
-            ):
-                return True
-            # C(r, 2) - C(r - 1, 2) = r - 1, and remaining is already r - 1.
-            shared[k] = shared[k - 1] - remaining[u] - remaining[w]
-        else:  # the shard's root, reached once
-            current = crossings[k]
-            shared[k] = sum(r * (r - 1) // 2 for r in remaining)
-        left = m - k
-        if current + left * max_partners < best:
+        u, w = stack[-1]
+        current = place(k, (u, w))
+        if (not remaining[u] and outranks(k, u)) or (
+            not remaining[w] and outranks(k, w)
+        ):
             return True
-        # Sharper, and only worth computing here: the placed chords gain at
-        # most their residual capacity, and two edges still to place cross
-        # only if they share no vertex, so at most C(left, 2) - shared[k] times.
+        # C(r, 2) - C(r - 1, 2) = r - 1, and remaining is already r - 1.
+        shared[k] = shared[k - 1] - remaining[u] - remaining[w]
+        left = m - k
         slack = best - current - (left * (left - 1) // 2 - shared[k])
         return slack > 0 and _residual_capacity(d, stack, remaining, 2 * left) < slack
 
@@ -328,13 +328,14 @@ def load_shard_checkpoint(path: str) -> dict:
 def _verify_shard(path: str, data: dict, run: tuple, floor: int, upper: int) -> None:
     """Re-check a loaded shard before it joins the merge.
 
-    The file must record this run, (n, d, shard index, prefix).  A witness
-    must be a valid graph extending the shard prefix, its convex recount
-    must be the recorded best, and that best must lie within the bounds; a
-    shard without a witness can only record the floor.  Raises ValueError
-    naming the file on the first mismatch.  A shard recorded without a
-    witness is trusted, not re-checked: only searching it again could show
-    that a better graph was dropped.
+    The file must record this run, (n, d, shard index, prefix).  A shard
+    with a witness must have examined at least one graph, since the search
+    counts a leaf before keeping it; the witness must be a valid graph
+    extending the shard prefix, its convex recount must be the recorded
+    best, and that best must lie within the bounds.  A shard without a
+    witness can only record the floor; it is trusted, not re-checked: only
+    searching it again could show that a better graph was dropped.  Raises
+    ValueError naming the file on the first mismatch.
     """
     best, witness, prefix = data["best"], data["witness"], data["prefix"]
     fail = f"checkpoint {path}: "
@@ -346,6 +347,8 @@ def _verify_shard(path: str, data: dict, run: tuple, floor: int, upper: int) -> 
         if best != floor:
             raise ValueError(fail + f"best {best} without a witness")
         return
+    if not data["examined"]:
+        raise ValueError(fail + "witness recorded with examined 0")
     try:
         graph = RegularGraph(data["n"], data["d"], witness)
     except ValueError as exc:
@@ -412,7 +415,7 @@ def convex_max(
     todo = [prefix for index, prefix in shards if index not in loaded]
     search = partial(_search_shard, n, d, floor=floor)
     size = _pool_size(workers, len(todo))
-    best_value = None
+    best_value = -1
     best_witness: Optional[tuple[Edge, ...]] = None
     examined_total = 0
     # Ctrl-C interrupts the parent alone; leaving the block terminates the workers.
@@ -431,9 +434,9 @@ def convex_max(
                     write_shard_checkpoint(path, n, d, index, prefix, *outcome)
             best, witness, examined = outcome
             examined_total += examined
-            if witness is not None and (best_value is None or best > best_value):
+            if witness is not None and best > best_value:
                 best_value, best_witness = best, witness
-    if best_value is None or best_witness is None:
+    if best_witness is None:
         if loaded:
             raise ValueError(f"checkpoints in {checkpoint_dir} hold no witness")
         raise AssertionError("seeded lower bound was never attained")
@@ -593,16 +596,14 @@ class TableEntry:
 TABLE_SEARCH_CAP = 8
 
 
-def reproduce_table(
-    max_n: int, *, convex_cap: int = TABLE_SEARCH_CAP
-) -> list[TableEntry]:
+def reproduce_table(max_n: int) -> list[TableEntry]:
     """Best-known values for every feasible (n, d) with 4 <= n <= max_n.
 
     Cells whose closed-form value contradicts the bundled reference value
     are flagged as discrepancies; with the current formulas that flags
     exactly (10, 6), where the construction gives 173 against the reported
-    133.  Cells with n <= convex_cap additionally run the convex oracle;
-    the default cap keeps the whole table under a second.
+    133.  Cells with n <= TABLE_SEARCH_CAP additionally run the convex
+    oracle, which keeps the whole table under a second.
     """
     if not 4 <= max_n <= 10:
         raise ValueError(f"need 4 <= max_n <= 10, got {max_n}")
@@ -618,7 +619,7 @@ def reproduce_table(
             if reference is not None and reference != value:
                 status = "discrepancy"
             search_value = None
-            if n <= convex_cap:
+            if n <= TABLE_SEARCH_CAP:
                 search_value = convex_max(n, d).max_crossings
             entries.append(TableEntry(n, d, value, status, reference, search_value))
     return entries

@@ -103,7 +103,7 @@ def test_criterion_02_star_like_matches_even_bound(capsys):
 
 def test_criterion_03_table_reproduction(capsys):
     started = time.perf_counter()
-    entries = {(e.n, e.d): e for e in reproduce_table(10, convex_cap=0)}
+    entries = {(e.n, e.d): e for e in reproduce_table(10)}
     from maxcross.search import REFERENCE_VALUES
 
     bad = []
@@ -271,7 +271,7 @@ def test_criterion_09_degree_two_witness_structure(capsys):
 def test_criterion_10_discrepancy_cell_not_resolved_here(capsys):
     # the true (10, 6) value needs an hours-scale exhaustive run; shipping
     # acceptance is the discrepancy flag itself, never a guessed number
-    entry = next(e for e in reproduce_table(10, convex_cap=0)
+    entry = next(e for e in reproduce_table(10)
                  if (e.n, e.d) == (10, 6))
     ok = (entry.status == "discrepancy" and entry.value == 173
           and entry.reference == 133 and entry.search_value is None)

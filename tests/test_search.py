@@ -6,6 +6,7 @@ import os
 import random
 from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +43,8 @@ from reference import (
     sample_by_pairing,
 )
 
+DATA = Path(__file__).parent / "data"
+
 
 @functools.cache
 def _convex_stream(n, d):
@@ -76,6 +79,26 @@ def _record_searched_stars(monkeypatch):
 
     monkeypatch.setattr(search, "_search_shard", spy)
     return searched
+
+
+def _count_prune_calls(monkeypatch):
+    """[hook calls, cuts] of every prune hook the search hands to lex_fill."""
+    import maxcross.search as search
+
+    counts = [0, 0]
+    original = search.lex_fill
+
+    def spy(n, d, prefix, prune):
+        def counted(stack, remaining):
+            cut = prune(stack, remaining)
+            counts[0] += 1
+            counts[1] += cut
+            return cut
+
+        return original(n, d, prefix, counted)
+
+    monkeypatch.setattr(search, "lex_fill", spy)
+    return counts
 
 
 class TestConvexMax:
@@ -255,6 +278,31 @@ class TestConvexMax:
             recount = crossings_convex(result.witness, ConvexOrder.identity(n)).total
             assert result.max_crossings == recount == value, (n, d)
 
+    def test_golden_cells(self, capsys):
+        # convex_cells.txt holds the `search --long-run` stdout of every
+        # feasible cell with 4 <= n <= 12, six lines each; the n <= 11 cells
+        # must match byte for byte, and CI re-runs the n = 12 cells
+        lines = (DATA / "convex_cells.txt").read_text().splitlines(keepends=True)
+        blocks = ["".join(lines[i : i + 6]) for i in range(0, len(lines), 6)]
+        assert len(blocks) == 44
+        for expected in blocks:
+            n, d = (int(line.split()[1]) for line in expected.splitlines()[:2])
+            if n > 11:
+                continue
+            argv = ["search", "--n", str(n), "--d", str(d), "--long-run"]
+            assert main(argv) == 0
+            assert capsys.readouterr().out == expected, (n, d)
+
+    @pytest.mark.parametrize(
+        "n,d,calls,cuts", [(8, 4, 238, 115), (9, 6, 2005, 649), (10, 6, 31734, 12260)]
+    )
+    def test_pruning_work_is_pinned(self, n, d, calls, cuts, monkeypatch):
+        # nodes offered to the prune hook and nodes it cut, shard roots
+        # included; a change to the bound or the node step shows here first
+        counts = _count_prune_calls(monkeypatch)
+        convex_max(n, d, long_run=True)
+        assert counts == [calls, cuts]
+
     def test_infeasible(self):
         with pytest.raises(ValueError):
             convex_max(7, 3)
@@ -340,6 +388,21 @@ class TestCheckpoints:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: checkpoint ") and err.count("\n") == 1
+
+    def test_witness_without_examined_graphs_rejected(self, capsys, tmp_path):
+        # the search counts a leaf before keeping it as the witness, so a
+        # witness beside examined 0 would silently lower graphs_examined
+        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "shard-4.ckpt"
+        lines = path.read_text().splitlines()
+        assert lines[5] != "examined 0" and lines[7] != "witness -"
+        path.write_text("\n".join(lines[:5] + ["examined 0"] + lines[6:]) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: checkpoint {path}: witness recorded with examined 0\n"
 
     def test_checkpoints_without_any_witness_rejected(self, tmp_path):
         convex_max(6, 2, checkpoint_dir=str(tmp_path))
@@ -533,7 +596,7 @@ class TestPerturbationProbe:
 
 class TestReproduceTable:
     def test_reference_cells_match(self):
-        entries = {(e.n, e.d): e for e in reproduce_table(10, convex_cap=0)}
+        entries = {(e.n, e.d): e for e in reproduce_table(10)}
         for (n, d), reference in REFERENCE_VALUES.items():
             entry = entries[(n, d)]
             if (n, d) == (10, 6):
@@ -550,14 +613,14 @@ class TestReproduceTable:
             assert entry.search_value == entry.value
 
     def test_every_feasible_cell_present(self):
-        entries = reproduce_table(8, convex_cap=0)
+        entries = reproduce_table(8)
         expected = {
             (n, d) for n in range(4, 9) for d in range(2, n) if n * d % 2 == 0
         }
         assert {(e.n, e.d) for e in entries} == expected
 
     def test_status_partition(self):
-        for entry in reproduce_table(10, convex_cap=0):
+        for entry in reproduce_table(10):
             exact = best_known(entry.n, entry.d).exact
             if entry.status == "proven":
                 assert exact
