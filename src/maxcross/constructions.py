@@ -138,16 +138,11 @@ def _cycle_edge(cycle: list[int], i: int) -> Edge:
 def star_like_even(n: int, d: int) -> GeometricDrawing:
     """Extremal convex drawing for n, d both even, 2 <= d <= n - 2."""
     drawing, removed = star_like_deletion(n, d)
-    kept = [e for e in drawing.graph.edges if e not in removed]
-    degree = [0] * n
-    for u, v in kept:
-        degree[u] += 1
-        degree[v] += 1
-    if any(deg != d for deg in degree):
-        raise ConstructionError(
-            f"star-like deletion left degrees {sorted(set(degree))}, wanted {d}"
-        )
-    graph = RegularGraph(n, d, tuple(kept))
+    kept = tuple(e for e in drawing.graph.edges if e not in removed)
+    try:
+        graph = RegularGraph(n, d, kept)
+    except ValueError as exc:
+        raise ConstructionError(f"star-like deletion: {exc}") from exc
     return GeometricDrawing(graph, drawing.positions)
 
 

@@ -37,6 +37,7 @@ import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
+from math import comb
 from typing import Optional, Sequence
 
 from .constructions import ConvexOrder, crossings_convex, interleave_masks
@@ -254,13 +255,14 @@ def _checkpoint_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"shard-{index}.ckpt")
 
 
-def _edges_token(edges: Sequence[Edge]) -> str:
+def _edges_token(edges: Optional[Sequence[Edge]]) -> str:
     return " ".join(f"{u}-{v}" for u, v in edges) if edges else "-"
 
 
-def _parse_edges_token(token: str) -> tuple[Edge, ...]:
+def _parse_edges_token(token: str) -> Optional[tuple[Edge, ...]]:
+    """Inverse of _edges_token, except that "-" reads back as None."""
     if token.strip() == "-":
-        return ()
+        return None
     edges = []
     for item in token.split():
         u, v = item.split("-")
@@ -270,15 +272,14 @@ def _parse_edges_token(token: str) -> tuple[Edge, ...]:
 
 def write_shard_checkpoint(
     path: str,
-    n: int,
-    d: int,
-    index: int,
-    prefix: tuple[Edge, ...],
-    best: int,
-    witness: Optional[tuple[Edge, ...]],
-    examined: int,
+    run: tuple[int, int, int, tuple[Edge, ...]],
+    outcome: tuple[int, Optional[tuple[Edge, ...]], int],
 ) -> None:
-    """Persist one finished shard in the ckpt v1 text format."""
+    """Persist one finished shard in the ckpt v1 text format: run is
+    (n, d, shard index, prefix) and outcome is _search_shard's
+    (best, witness or None, examined)."""
+    n, d, index, prefix = run
+    best, witness, examined = outcome
     lines = [
         CHECKPOINT_HEADER,
         f"n {n}",
@@ -287,7 +288,7 @@ def write_shard_checkpoint(
         f"prefix {_edges_token(prefix)}",
         f"examined {examined}",
         f"best {best}",
-        f"witness {_edges_token(witness) if witness is not None else '-'}",
+        f"witness {_edges_token(witness)}",
     ]
     temporary = path + ".tmp"
     with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
@@ -295,71 +296,62 @@ def write_shard_checkpoint(
     os.replace(temporary, path)
 
 
-def load_shard_checkpoint(path: str) -> dict:
-    """Parse a ckpt v1 file into a field dict; raises ValueError on damage."""
+def load_shard_checkpoint(
+    path: str, run: tuple[int, int, int, tuple[Edge, ...]], floor: int, upper: int
+) -> tuple[int, Optional[tuple[Edge, ...]], int]:
+    """Read a ckpt v1 file and re-check it before it joins the merge.
+
+    Returns the shard outcome (best, witness or None, examined) as
+    _search_shard does.  The file must record this run, (n, d, shard index,
+    prefix), and an examined count between 0 and C(C(n - 1, 2), m - d), the
+    number of edge sets that can complete vertex 0's star.  A shard with a
+    witness must have examined at least one graph, since the search counts a
+    leaf before keeping it; the witness must be a valid graph extending the
+    shard prefix, its convex recount must be the recorded best, and that best
+    must lie within [floor, upper].  A shard without a witness can only
+    record the floor; it is trusted, not re-checked: only searching it again
+    could show that a better graph was dropped.  Raises ValueError naming the
+    file on the first damage or mismatch.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         lines = handle.read().splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"missing '{CHECKPOINT_HEADER}' header in {path}")
-    fields: dict[str, str] = {}
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, _, value = line.partition(" ")
-        fields[key] = value
+    # key -> value of every non-blank line; a repeated key keeps its last value
+    fields = dict(line.partition(" ")[::2] for line in lines[1:] if line.strip())
     try:
-        return {
-            "n": int(fields["n"]),
-            "d": int(fields["d"]),
-            "shard": int(fields["shard"]),
-            "prefix": _parse_edges_token(fields["prefix"]),
-            "examined": int(fields["examined"]),
-            "best": int(fields["best"]),
-            "witness": (
-                None
-                if fields["witness"].strip() == "-"
-                else _parse_edges_token(fields["witness"])
-            ),
-        }
+        n, d, index = (int(fields[key]) for key in ("n", "d", "shard"))
+        prefix = _parse_edges_token(fields["prefix"])
+        examined, best = int(fields["examined"]), int(fields["best"])
+        witness = _parse_edges_token(fields["witness"])
     except KeyError as exc:
         raise ValueError(f"checkpoint {path} is missing field {exc}") from exc
-
-
-def _verify_shard(path: str, data: dict, run: tuple, floor: int, upper: int) -> None:
-    """Re-check a loaded shard before it joins the merge.
-
-    The file must record this run, (n, d, shard index, prefix).  A shard
-    with a witness must have examined at least one graph, since the search
-    counts a leaf before keeping it; the witness must be a valid graph
-    extending the shard prefix, its convex recount must be the recorded
-    best, and that best must lie within the bounds.  A shard without a
-    witness can only record the floor; it is trusted, not re-checked: only
-    searching it again could show that a better graph was dropped.  Raises
-    ValueError naming the file on the first mismatch.
-    """
-    best, witness, prefix = data["best"], data["witness"], data["prefix"]
     fail = f"checkpoint {path}: "
-    if (data["n"], data["d"], data["shard"], prefix) != run:
+    if (n, d, index, prefix) != run:
         raise ValueError(fail + "belongs to a different run")
-    if data["examined"] < 0:
+    if examined < 0:
         raise ValueError(fail + "negative examined count")
+    most = comb(comb(n - 1, 2), n * d // 2 - d)
+    if examined > most:
+        raise ValueError(fail + f"examined {examined} above the limit {most}")
     if witness is None:
         if best != floor:
             raise ValueError(fail + f"best {best} without a witness")
-        return
-    if not data["examined"]:
+        return best, witness, examined
+    if not examined:
         raise ValueError(fail + "witness recorded with examined 0")
     try:
-        graph = RegularGraph(data["n"], data["d"], witness)
+        graph = RegularGraph(n, d, witness)
     except ValueError as exc:
         raise ValueError(fail + f"bad witness: {exc}") from exc
     if witness[: len(prefix)] != prefix:
         raise ValueError(fail + "witness does not extend the shard prefix")
-    recount = crossings_convex(graph, ConvexOrder.identity(graph.n)).total
+    recount = crossings_convex(graph, ConvexOrder.identity(n)).total
     if recount != best:
         raise ValueError(fail + f"best {best} but the witness has {recount} crossings")
     if not floor <= best <= upper:
         raise ValueError(fail + f"best {best} outside the bounds [{floor}, {upper}]")
+    return best, witness, examined
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -379,11 +371,13 @@ def convex_max(
 
     Work splits into one shard per edge set at vertex 0 that can hold a
     kept graph; shards never share state, so results (witness and
-    graphs_examined included) are identical for any worker count.  With
-    checkpoint_dir set, those shards' ckpt v1 files are verified and
-    skipped before any search starts, and each searched shard is written as
-    it is merged, in index order, so an interrupted run keeps every shard
-    before the first unfinished one.
+    graphs_examined included) are identical for any worker count.  A
+    shard's outcome (best, witness or None, examined) is the one record that
+    is searched, written and merged.  With checkpoint_dir set, the ckpt v1
+    files of those shards are read and re-checked by load_shard_checkpoint
+    before any search starts, and their shards are not searched again; each
+    searched shard is written as it is merged, in index order, so an
+    interrupted run keeps every shard before the first unfinished one.
     """
     effective_cap = LONG_RUN_CAP if long_run else SEARCH_CAP
     if n > effective_cap:
@@ -408,9 +402,8 @@ def convex_max(
         for index, prefix in shards:
             path = _checkpoint_path(checkpoint_dir, index)
             if os.path.exists(path):
-                data = load_shard_checkpoint(path)
-                _verify_shard(path, data, (n, d, index, prefix), floor, bounds.upper)
-                loaded[index] = (data["best"], data["witness"], data["examined"])
+                run = (n, d, index, prefix)
+                loaded[index] = load_shard_checkpoint(path, run, floor, bounds.upper)
 
     todo = [prefix for index, prefix in shards if index not in loaded]
     search = partial(_search_shard, n, d, floor=floor)
@@ -431,7 +424,7 @@ def convex_max(
                 outcome = next(computed)
                 if checkpoint_dir is not None:
                     path = _checkpoint_path(checkpoint_dir, index)
-                    write_shard_checkpoint(path, n, d, index, prefix, *outcome)
+                    write_shard_checkpoint(path, (n, d, index, prefix), outcome)
             best, witness, examined = outcome
             examined_total += examined
             if witness is not None and best > best_value:

@@ -320,6 +320,24 @@ class TestExitCodes:
         assert out == "" and not svg.exists()
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_starlike_deletion_fault(self, capsys, monkeypatch):
+        # a deletion pattern that drops one edge too many must end in the
+        # construction exit code with one line, not in a traceback
+        import maxcross.constructions as constructions
+
+        original = constructions.star_like_deletion
+
+        def one_edge_short(n, d):
+            drawing, removed = original(n, d)
+            extra = next(e for e in drawing.graph.edges if e not in removed)
+            return drawing, removed | {extra}
+
+        monkeypatch.setattr(constructions, "star_like_deletion", one_edge_short)
+        code, out, err = run_cli(capsys, "construct", "starlike", "--n", "8", "--d", "4")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: star-like deletion: ") and err.count("\n") == 1
+
     def test_construction_argument_error(self, capsys):
         assert run_cli(capsys, "construct", "starlike", "--n", "9", "--d", "4")[0] == 2
 

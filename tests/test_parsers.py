@@ -12,9 +12,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxcross.constructions import star_like_even
+from maxcross.formulas import best_known
 from maxcross.geometry import DRAWING_FORMAT_HEADER, drawing_from_text, drawing_to_text
-from maxcross.graph import GRAPH_FORMAT_HEADER, graph_from_text, graph_to_text, make_cycle
-from maxcross.search import CHECKPOINT_HEADER, load_shard_checkpoint, write_shard_checkpoint
+from maxcross.graph import (
+    GRAPH_FORMAT_HEADER,
+    graph_from_text,
+    graph_to_text,
+    make_cycle,
+    shard_prefixes,
+)
+from maxcross.search import (
+    CHECKPOINT_HEADER,
+    _search_shard,
+    load_shard_checkpoint,
+    write_shard_checkpoint,
+)
 
 tokens = st.one_of(
     st.integers(-3, 12).map(str),
@@ -44,28 +56,39 @@ def edited(draw, valid):
     return text
 
 
-def _checkpoint_text(*fields):
+def _real_checkpoint(n, d, index):
+    """(run, ckpt v1 text) of one shard as a search from the floor writes it."""
+    run = (n, d, index, shard_prefixes(n, d)[index])
+    outcome = _search_shard(n, d, run[3], best_known(n, d).lower)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "shard.ckpt")
-        write_shard_checkpoint(path, *fields)
+        write_shard_checkpoint(path, run, outcome)
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return run, handle.read()
 
 
 VALID_DRAWINGS = [drawing_to_text(star_like_even(6, 2)), drawing_to_text(star_like_even(4, 2))]
 VALID_GRAPHS = [graph_to_text(make_cycle(5)), graph_to_text(make_cycle(4))]
-VALID_CHECKPOINTS = [
-    _checkpoint_text(6, 2, 3, ((0, 1), (0, 2)), 7, ((0, 1), (0, 2), (1, 3)), 42),
-    _checkpoint_text(6, 2, 0, ((0, 1), (0, 2)), 7, None, 1),
-]
+# shard 4 of (6, 2) records the run's witness, shard 0 none
+VALID_CHECKPOINTS = [_real_checkpoint(6, 2, 4), _real_checkpoint(6, 2, 0)]
+RUNS = [run for run, _ in VALID_CHECKPOINTS]
+BOUNDS = best_known(6, 2)
 
 
-def _load_checkpoint_bytes(data):
+@st.composite
+def edited_checkpoint(draw):
+    """(run, bytes): a real shard file edited, paired with the run it
+    records, so an edit that still parses reaches the re-checks."""
+    run, text = draw(st.sampled_from(VALID_CHECKPOINTS))
+    return run, draw(edited([text])).encode()
+
+
+def _load_checkpoint_bytes(run, data):
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "shard-0.ckpt")
         with open(path, "wb") as handle:
             handle.write(data)
-        return load_shard_checkpoint(path)
+        return load_shard_checkpoint(path, run, BOUNDS.lower, BOUNDS.upper)
 
 
 class TestParsersRaiseOnlyValueError:
@@ -90,11 +113,11 @@ class TestParsersRaiseOnlyValueError:
             graph_from_text(text)
 
     @given(st.one_of(
-        token_files([CHECKPOINT_HEADER]).map(str.encode),
-        edited(VALID_CHECKPOINTS).map(str.encode),
-        st.binary(max_size=40),
+        st.tuples(st.sampled_from(RUNS), token_files([CHECKPOINT_HEADER]).map(str.encode)),
+        edited_checkpoint(),
+        st.tuples(st.sampled_from(RUNS), st.binary(max_size=40)),
     ))
     @settings(max_examples=200, deadline=None)
-    def test_load_shard_checkpoint(self, data):
+    def test_load_shard_checkpoint(self, case):
         with suppress(ValueError):
-            _load_checkpoint_bytes(data)
+            _load_checkpoint_bytes(*case)

@@ -193,7 +193,7 @@ class TestConvexMax:
         floor = best_known(n, d).lower
         for index in dropped:
             path = str(tmp_path / f"shard-{index}.ckpt")
-            write_shard_checkpoint(path, n, d, index, prefixes[index], floor, None, 0)
+            write_shard_checkpoint(path, (n, d, index, prefixes[index]), (floor, None, 0))
         resumed = convex_max(n, d, checkpoint_dir=str(tmp_path))
         assert (resumed.max_crossings, resumed.witness, resumed.graphs_examined) == (
             fresh.max_crossings,
@@ -323,35 +323,42 @@ class TestWitnessStructure:
         assert sorted(len(c) for c in connected_components(witness)) == [6]
 
 
+def _real_shard(index):
+    """Run and outcome of shard index of (6, 2), searched from the floor:
+    shard 0 records no witness, shard 4 the run's witness."""
+    n, d = 6, 2
+    prefix = shard_prefixes(n, d)[index]
+    return (n, d, index, prefix), _search_shard(n, d, prefix, best_known(n, d).lower)
+
+
 class TestCheckpoints:
     def test_round_trip(self, tmp_path):
-        path = str(tmp_path / "shard-3.ckpt")
-        write_shard_checkpoint(
-            path, 6, 2, 3, ((0, 1), (0, 2)), 7, ((0, 1), (0, 2), (1, 3)), 42
-        )
-        data = load_shard_checkpoint(path)
-        assert data == {
-            "n": 6,
-            "d": 2,
-            "shard": 3,
-            "prefix": ((0, 1), (0, 2)),
-            "examined": 42,
-            "best": 7,
-            "witness": ((0, 1), (0, 2), (1, 3)),
-        }
+        # real shard records, one without a witness and one with the run's
+        witnesses = {0: None, 4: ((0, 2), (0, 3), (1, 4), (1, 5), (2, 4), (3, 5))}
+        for index, witness in witnesses.items():
+            run, outcome = _real_shard(index)
+            assert outcome[1] == witness
+            path = str(tmp_path / f"shard-{index}.ckpt")
+            write_shard_checkpoint(path, run, outcome)
+            assert load_shard_checkpoint(path, run, 7, 7) == outcome
 
     def test_header_line(self, tmp_path):
-        path = str(tmp_path / "shard-0.ckpt")
-        write_shard_checkpoint(path, 6, 2, 0, ((0, 1), (0, 2)), 7, None, 1)
-        with open(path) as handle:
-            assert handle.readline().rstrip() == "ckpt v1"
-        assert load_shard_checkpoint(path)["witness"] is None
+        # the whole ckpt v1 text of two real shards, header line first
+        tails = {
+            0: "prefix 0-1 0-2\nexamined 0\nbest 7\nwitness -\n",
+            4: "prefix 0-2 0-3\nexamined 1\nbest 7\nwitness 0-2 0-3 1-4 1-5 2-4 3-5\n",
+        }
+        for index, tail in tails.items():
+            path = tmp_path / f"shard-{index}.ckpt"
+            write_shard_checkpoint(str(path), *_real_shard(index))
+            expected = f"ckpt v1\nn 6\nd 2\nshard {index}\n{tail}"
+            assert path.read_bytes() == expected.encode()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "shard-0.ckpt"
         path.write_text("ckpt v2\nn 6\n")
-        with pytest.raises(ValueError):
-            load_shard_checkpoint(str(path))
+        with pytest.raises(ValueError, match="header"):
+            load_shard_checkpoint(str(path), _real_shard(0)[0], 7, 7)
 
     def test_resume_after_partial_run(self, tmp_path):
         full = convex_max(6, 4)
@@ -404,6 +411,29 @@ class TestCheckpoints:
         assert out == ""
         assert err == f"error: checkpoint {path}: witness recorded with examined 0\n"
 
+    @pytest.mark.parametrize("examined, code", [(210, 0), (211, 2)])
+    def test_examined_above_what_a_shard_holds_rejected(
+        self, capsys, tmp_path, examined, code
+    ):
+        # a shard of (6, 2) holds at most C(C(5, 2), 4) = 210 graphs, the edge
+        # sets on vertices 1..5 that can complete vertex 0's star; a count up
+        # to that is trusted, since only a new search could refute it
+        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "shard-4.ckpt"
+        lines = path.read_text().splitlines()
+        assert lines[5] == "examined 1"
+        path.write_text("\n".join(lines[:5] + [f"examined {examined}"] + lines[6:]) + "\n")
+        capsys.readouterr()
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == ""
+            message = f"examined {examined} above the limit 210"
+            assert err == f"error: checkpoint {path}: {message}\n"
+        else:
+            assert f"graphs_examined {examined}" in out.splitlines()
+
     def test_checkpoints_without_any_witness_rejected(self, tmp_path):
         convex_max(6, 2, checkpoint_dir=str(tmp_path))
         for path in tmp_path.iterdir():
@@ -431,7 +461,7 @@ class TestCheckpoints:
             best = max([floor] + [total for _, total in shard])
             first = next((e for e, total in shard if total == best), None)
             path = str(tmp_path / f"shard-{index}.ckpt")
-            write_shard_checkpoint(path, n, d, index, prefix, best, first, len(shard))
+            write_shard_checkpoint(path, (n, d, index, prefix), (best, first, len(shard)))
         resumed = convex_max(n, d, checkpoint_dir=str(tmp_path))
         assert (resumed.max_crossings, resumed.witness) == (fresh.max_crossings, fresh.witness)
         # the written shards were merged: they count every labeled graph
