@@ -185,6 +185,13 @@ def lex_fill(
     per-vertex free stubs (read, never modify); a true result skips the
     node's subtree.  Completed graphs are yielded, never pruned.
 
+    A node that cannot fill u, with fewer free vertices above its last
+    partner than u has free stubs, is cut before its hook call.  The parent
+    makes that test before it pushes a child (u, w) that leaves u with
+    left > 0 stubs: it needs left free vertices above w.  That count only
+    falls as w rises, so a failed test ends the parent's scan.  The root and
+    a child that saturates u have no such parent test and test themselves.
+
     The edge stack is the walk's whole state: each edge (u, w) placed after
     the prefix was placed by the node that fills u, and w is the partner
     that node tried last, so backtracking pops it and resumes at w + 1.
@@ -208,35 +215,52 @@ def lex_fill(
     stack = list(prefix)
     base = len(stack)
     u = 0  # every vertex below u is saturated
+    while u < n and not remaining[u]:
+        u += 1
+    if u == n:
+        yield tuple(stack)
+        return
+    lu, w = stack[-1] if stack else (-1, -1)
+    if lu != u:
+        w = u
+    if n - w - 1 - remaining[w + 1 :].count(0) < remaining[u] or (
+        prune and prune(stack, remaining)
+    ):
+        return
+    # At the top of the loop the node filling u resumes its scan above w.
     while True:
-        while u < n and not remaining[u]:
-            u += 1
-        if u == n:
-            yield tuple(stack)
-            w = n
-        else:
-            # w is the partner last tried at this node; the scan resumes above it.
-            lu, lw = stack[-1] if stack else (-1, -1)
-            w = lw if lu == u else u
-            available = n - w - 1 - remaining[w + 1 :].count(0)
-            if available < remaining[u] or (prune and prune(stack, remaining)):
-                w = n
-        # Join u to its next free partner above w, backtracking out of
-        # exhausted nodes.
-        while True:
+        left = remaining[u] - 1
+        w += 1
+        while w < n and not remaining[w]:
             w += 1
-            while w < n and not remaining[w]:
-                w += 1
-            if w < n:
-                remaining[u] -= 1
-                remaining[w] -= 1
-                stack.append((u, w))
-                break
-            if len(stack) == base:
-                return
-            u, w = stack.pop()
+        if w < n and (not left or n - w - 1 - remaining[w + 1 :].count(0) >= left):
+            remaining[u] = left
+            remaining[w] -= 1
+            stack.append((u, w))
+            if left:
+                if not (prune and prune(stack, remaining)):
+                    continue
+            else:
+                v = u + 1
+                while v < n and not remaining[v]:
+                    v += 1
+                if v == n:
+                    yield tuple(stack)
+                elif n - v - 1 - remaining[v + 1 :].count(0) >= remaining[v] and not (
+                    prune and prune(stack, remaining)
+                ):
+                    u = w = v
+                    continue
+            # The child was a leaf or cut: undo it and resume the scan above w.
             remaining[u] += 1
             remaining[w] += 1
+            stack.pop()
+            continue
+        if len(stack) == base:
+            return
+        u, w = stack.pop()
+        remaining[u] += 1
+        remaining[w] += 1
 
 
 def enumerate_labeled_regular(n: int, d: int) -> Iterator[RegularGraph]:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .constructions import ConvexOrder, crossings_convex, interleave_masks
 from .errors import ResourceLimitError
@@ -103,8 +103,19 @@ def _search_shard(
     counts the leaves reached that keep the dihedral test (module
     docstring), so a sharper bound lowers it.  The prefix is vertex 0's
     star; the shard's root is pruned like every other node.
+
+    Every search node is one call of the prune hook, which does the node's
+    whole step itself: it places the node's last edge (its crossings with
+    the placed edges, the placed set and the pattern keys), runs the
+    dihedral test on the vertices that edge saturated, and cuts when no
+    completion can beat best.  The placed chords gain at most their residual
+    capacity from the edges still to place, and two edges still to place
+    cross only if they share no vertex, so at most C(left, 2) - shared[k]
+    times.  The capacity is summed chord by chord and the pass stops once it
+    reaches the slack; every term is nonnegative, so the cut is the same as
+    with the whole sum.
     """
-    edge_index, masks, pattern_bits = _chord_tables(n)
+    masks, bits, pattern_bits, starts = _chord_tables(n)
     m = n * d // 2
     full = (1 << n) - 1
     # crossings[k] and placed[k]: crossing count and edge bitmask of the
@@ -116,11 +127,11 @@ def _search_shard(
     shared = [0] * (m + 1)
     patterns = [0] * (m + 1)
 
-    def place(k: int, edge: Edge) -> int:
-        index = edge_index[edge]
-        crossings[k] = crossings[k - 1] + (masks[index] & placed[k - 1]).bit_count()
-        placed[k] = placed[k - 1] | (1 << index)
-        patterns[k] = patterns[k - 1] | pattern_bits[index]
+    def place(k: int, u: int, w: int) -> int:
+        key = u * n + w
+        crossings[k] = crossings[k - 1] + (masks[key] & placed[k - 1]).bit_count()
+        placed[k] = placed[k - 1] | bits[key]
+        patterns[k] = patterns[k - 1] | pattern_bits[key]
         return crossings[k]
 
     def outranks(k: int, v: int) -> bool:
@@ -132,38 +143,79 @@ def _search_shard(
     # After the k-th star edge vertex 0 keeps d - k stubs and the partner
     # d - 1, so shared drops by both, as in prune below.
     shared[0] = n * (d * (d - 1) // 2)
-    for k, edge in enumerate(prefix, 1):
-        place(k, edge)
+    for k, (u, w) in enumerate(prefix, 1):
+        place(k, u, w)
         shared[k] = shared[k - 1] - (d - k) - (d - 1)
     # The prefix saturates vertex 0: its forward key is the one to beat.
     own = patterns[len(prefix)] & full
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
-        """Place the node's last edge again, run the dihedral test on the
-        vertices it saturated, and cut when no completion can beat best: the
-        placed chords gain at most their residual capacity, and two edges
-        still to place cross only if they share no vertex, so at most
-        C(left, 2) - shared[k] times.  At the root the last edge is the
-        star's, and placing it again gives the values the prefix loop set."""
+        # place and outranks, inlined: this is the one call per node.  At the
+        # root the last edge is the star's, and placing it again gives the
+        # values the prefix loop set.
         k = len(stack)
         u, w = stack[-1]
-        current = place(k, (u, w))
-        if (not remaining[u] and outranks(k, u)) or (
-            not remaining[w] and outranks(k, w)
-        ):
-            return True
+        key = u * n + w
+        current = crossings[k] = (
+            crossings[k - 1] + (masks[key] & placed[k - 1]).bit_count()
+        )
+        chords = placed[k] = placed[k - 1] | bits[key]
+        keys = patterns[k] = patterns[k - 1] | pattern_bits[key]
+        at_u = remaining[u]
+        at_w = remaining[w]
+        if not at_u:
+            row = keys >> 2 * n * u
+            if row & full > own or row >> n & full > own:
+                return True
+        if not at_w:
+            row = keys >> 2 * n * w
+            if row & full > own or row >> n & full > own:
+                return True
         # C(r, 2) - C(r - 1, 2) = r - 1, and remaining is already r - 1.
-        shared[k] = shared[k - 1] - remaining[u] - remaining[w]
+        pairs = shared[k] = shared[k - 1] - at_u - at_w
         left = m - k
-        slack = best - current - (left * (left - 1) // 2 - shared[k])
-        return slack > 0 and _residual_capacity(d, stack, remaining, 2 * left) < slack
+        slack = best - current - (left * (left - 1) // 2 - pairs)
+        if slack <= 0:
+            return False
+        # Residual capacity.  A future edge crosses chord (a, b) only with one
+        # free stub strictly inside it and one strictly outside, so the chord
+        # gains at most the smaller count.  By the lex_fill contract, with u
+        # the first vertex with free stubs, every vertex below u is saturated
+        # and every placed chord starts at or below u.  So a chord (a, b) with
+        # b <= u has no free stub inside, one with b > u sees the stubs of
+        # u..b-1 inside (u+1..b-1 when a == u) and those above b outside, and
+        # a vertex b > u ends d - remaining[b] placed chords.
+        while not at_u:
+            u += 1
+            at_u = remaining[u]
+        # bit b set: the chord (u, b) is placed
+        from_u = chords >> starts[u] << u + 1
+        inside = at_u
+        outside = 2 * left - at_u
+        capacity = 0
+        for b in range(u + 1, n):
+            at_b = remaining[b]
+            outside -= at_b
+            if not outside:
+                return True
+            ends = d - at_b
+            if ends:
+                if from_u >> b & 1:
+                    ends -= 1
+                    rest = inside - at_u
+                    capacity += rest if rest < outside else outside
+                capacity += ends * (inside if inside < outside else outside)
+                if capacity >= slack:
+                    return False
+            inside += at_b
+        return True
 
     best = floor
     witness: Optional[tuple[Edge, ...]] = None
     examined = 0
     for edges in lex_fill(n, d, prefix, prune):
         u, w = edges[-1]
-        current = place(m, (u, w))
+        current = place(m, u, w)
         if outranks(m, u) or outranks(m, w):
             continue
         examined += 1
@@ -175,60 +227,17 @@ def _search_shard(
     return best, witness, examined
 
 
-def _residual_capacity(
-    d: int, stack: Sequence[Edge], remaining: Sequence[int], free: int
-) -> int:
-    """Most crossings the placed chords can still gain from future edges.
-
-    A future edge crosses chord (a, b) only with one free stub strictly
-    inside it and one strictly outside, so each chord gains at most the
-    smaller of its two free-stub counts; free is the total of remaining.
-    Relies on the lex_fill contract: with u the first vertex with free
-    stubs, every vertex below u is saturated and every placed chord starts
-    at or below u.  So a chord (a, b) with b <= u has no free stub inside,
-    one with b > u sees the stubs of u..b-1 inside (u+1..b-1 when a == u)
-    and those above b outside, and a vertex b > u ends d - remaining[b]
-    placed chords, which makes this one pass over the vertices above u.
-    """
-    if not stack:
-        return 0
-    u = stack[-1][0]
-    while not remaining[u]:
-        u += 1
-    # The chords (u, b) placed so far are the tail of the stack.
-    own = 0
-    i = len(stack) - 1
-    while i >= 0 and stack[i][0] == u:
-        own |= 1 << stack[i][1]
-        i -= 1
-    at_u = remaining[u]
-    inside = at_u
-    outside = free - at_u
-    capacity = 0
-    for b in range(u + 1, len(remaining)):
-        at_b = remaining[b]
-        outside -= at_b
-        if not outside:
-            break
-        ends = d - at_b
-        if ends:
-            if own >> b & 1:
-                ends -= 1
-                rest = inside - at_u
-                capacity += rest if rest < outside else outside
-            capacity += ends * (inside if inside < outside else outside)
-        inside += at_b
-    return capacity
-
-
 @lru_cache(maxsize=None)
 def _chord_tables(
     n: int,
-) -> tuple[dict[Edge, int], tuple[int, ...], tuple[int, ...]]:
-    """Index, interleave mask and pattern bits of every chord (a, b) of the
-    n-gon, built once per n per process; callers only read them.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """Interleave mask, bit and pattern bits of every chord (a, b) of the
+    n-gon at index a * n + b, and the index of chord (a, a + 1) at index a,
+    built once per n per process; callers only read them.
 
-    A pattern, a sorted tuple of offsets in 1..n-1, is keyed by the sum of
+    Chord i of combinations(range(n), 2) is bit i of a chord set, so the
+    chords (a, a + 1), ..., (a, n - 1) are consecutive bits.  A pattern, a
+    sorted tuple of offsets in 1..n-1, is keyed by the sum of
     1 << (n - 1 - p) over its offsets p.  For patterns of equal size, a
     lexicographically smaller tuple has the larger key.  The keys of vertex
     v's forward and backward patterns sit in n-bit rows 2v and 2v + 1 of one
@@ -240,15 +249,17 @@ def _chord_tables(
     def key(v: int, row: int, offset: int) -> int:
         return 1 << (2 * v + row) * n + n - 1 - offset % n
 
-    pattern_bits = tuple(
-        key(a, 0, b - a) | key(b, 0, a - b) | key(a, 1, a - b) | key(b, 1, b - a)
-        for a, b in chords
-    )
-    return (
-        {e: i for i, e in enumerate(chords)},
-        tuple(interleave_masks(chords)),
-        pattern_bits,
-    )
+    masks = [0] * (n * n)
+    bits = [0] * (n * n)
+    pattern_bits = [0] * (n * n)
+    for i, ((a, b), mask) in enumerate(zip(chords, interleave_masks(chords))):
+        masks[a * n + b] = mask
+        bits[a * n + b] = 1 << i
+        pattern_bits[a * n + b] = (
+            key(a, 0, b - a) | key(b, 0, a - b) | key(a, 1, a - b) | key(b, 1, b - a)
+        )
+    starts = tuple(a * (2 * n - a - 1) // 2 for a in range(n))
+    return tuple(masks), tuple(bits), tuple(pattern_bits), starts
 
 
 def _checkpoint_path(directory: str, index: int) -> str:
@@ -311,22 +322,32 @@ def load_shard_checkpoint(
     must lie within [floor, upper].  A shard without a witness can only
     record the floor; it is trusted, not re-checked: only searching it again
     could show that a better graph was dropped.  Raises ValueError naming the
-    file on the first damage or mismatch.
+    file on the first damage or mismatch, and the field when a value does not
+    parse.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+        try:
+            lines = handle.read().splitlines()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"checkpoint {path}: not UTF-8 text") from exc
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"missing '{CHECKPOINT_HEADER}' header in {path}")
     # key -> value of every non-blank line; a repeated key keeps its last value
     fields = dict(line.partition(" ")[::2] for line in lines[1:] if line.strip())
-    try:
-        n, d, index = (int(fields[key]) for key in ("n", "d", "shard"))
-        prefix = _parse_edges_token(fields["prefix"])
-        examined, best = int(fields["examined"]), int(fields["best"])
-        witness = _parse_edges_token(fields["witness"])
-    except KeyError as exc:
-        raise ValueError(f"checkpoint {path} is missing field {exc}") from exc
     fail = f"checkpoint {path}: "
+
+    def field(name: str, parse: Callable[[str], Any]) -> Any:
+        if name not in fields:
+            raise ValueError(f"checkpoint {path} is missing field '{name}'")
+        try:
+            return parse(fields[name])
+        except ValueError as exc:
+            raise ValueError(fail + f"bad field {name}") from exc
+
+    n, d, index = (field(name, int) for name in ("n", "d", "shard"))
+    prefix = field("prefix", _parse_edges_token)
+    examined, best = field("examined", int), field("best", int)
+    witness = field("witness", _parse_edges_token)
     if (n, d, index, prefix) != run:
         raise ValueError(fail + "belongs to a different run")
     if examined < 0:
@@ -464,6 +485,14 @@ def sample_regular_graph(n: int, d: int, rng: random.Random) -> RegularGraph:
     return _sample_by_switching(n, d, rng)
 
 
+@lru_cache(maxsize=None)
+def _circulant_edges(n: int, d: int) -> tuple[Edge, ...]:
+    """Edges of the d-regular circulant that the switch chain starts from:
+    offsets 1..d//2, and n/2 for odd d.  Built once per (n, d) per process."""
+    offsets = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
+    return make_circulant(n, offsets).edges
+
+
 def _sample_by_switching(n: int, d: int, rng: random.Random) -> RegularGraph:
     """SWITCHES_PER_EDGE * m attempts of the switch ab, ce -> ac, be.
 
@@ -472,23 +501,24 @@ def _sample_by_switching(n: int, d: int, rng: random.Random) -> RegularGraph:
     skipped, not retried.  Each switch and its reverse are proposed with the
     same probability, so the uniform distribution is stationary.
     """
-    offsets = list(range(1, d // 2 + 1)) + ([n // 2] if d % 2 else [])
     label = list(range(n))
     rng.shuffle(label)
     edges = []
-    for u, v in make_circulant(n, offsets).edges:
+    for u, v in _circulant_edges(n, d):
         u, v = label[u], label[v]
         edges.append((u, v) if u < v else (v, u))
-    present = set(edges)
+    # the edge (u, v), u < v, is the key u * n + v
+    present = {u * n + v for u, v in edges}
     m = len(edges)
     span = 2 * m
     total = span * m
     bits = total.bit_length()
+    getrandbits = rng.getrandbits
     for _ in range(SWITCHES_PER_EDGE * m):
         # uniform below 2 m^2 by rejection, as randrange draws, minus its call overhead
-        draw = rng.getrandbits(bits)
+        draw = getrandbits(bits)
         while draw >= total:
-            draw = rng.getrandbits(bits)
+            draw = getrandbits(bits)
         i, rest = divmod(draw, span)
         j, flip = divmod(rest, 2)
         a, b = edges[i]
@@ -497,15 +527,16 @@ def _sample_by_switching(n: int, d: int, rng: random.Random) -> RegularGraph:
             c, e = e, c
         if a == c or a == e or b == c or b == e:
             continue
-        first = (a, c) if a < c else (c, a)
-        second = (b, e) if b < e else (e, b)
+        first = a * n + c if a < c else c * n + a
+        second = b * n + e if b < e else e * n + b
         if first in present or second in present:
             continue
-        present.remove(edges[i])
-        present.remove(edges[j])
+        present.remove(a * n + b)
+        present.remove(c * n + e if c < e else e * n + c)
         present.add(first)
         present.add(second)
-        edges[i], edges[j] = first, second
+        edges[i] = divmod(first, n)
+        edges[j] = divmod(second, n)
     return RegularGraph(n, d, tuple(sorted(edges)))
 
 

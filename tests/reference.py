@@ -4,10 +4,12 @@ The geometric references decide everything with `orientation` and
 `segments_cross` on the rational coordinates, pair by pair, so they share no
 code with the integer side-table kernel they are compared against.  The
 pairing sampler is the exactly uniform model the switch-chain sampler is
-compared against, and the stack-based residual capacity is the plain
-definition the search's one-pass capacity is compared against.  The
-dihedral predicate relabels the whole graph under each of the 2n rotations
-and reflections, where the search reads bit-packed neighbourhood patterns.
+compared against.  The prune decision rebuilds the search's cut at one node
+from the plain definitions: the stack-based residual capacity, the pairs of
+future edges counted vertex by vertex, and the 2n rotations and reflections
+applied to a saturated vertex's neighbourhood.  The dihedral predicate
+relabels the whole graph under each of them, where the search reads
+bit-packed neighbourhood patterns.
 The recursive walk is the plain form of the iterative `lex_fill`.
 """
 
@@ -92,6 +94,32 @@ def residual_capacity(stack, remaining):
         outside = total - inside - remaining[a] - remaining[b]
         capacity += inside if inside < outside else outside
     return capacity
+
+
+def prune_decision(n, d, stack, remaining, best):
+    """The convex search's cut at one node, rebuilt from the definitions.
+
+    Cut when a vertex that the last edge saturated has a neighbourhood that
+    some rotation or reflection sending it to 0 makes lexicographically
+    smaller than vertex 0's own, or when the crossings of the placed chords,
+    plus C(left, 2) less the pairs of future edges meeting at a vertex, plus
+    the residual capacity stay below best.  Vertex 0 is saturated.
+    """
+    own = sorted(b for a, b in stack if a == 0)
+    for v in stack[-1]:
+        if remaining[v]:
+            continue
+        neighbours = [a + b - v for a, b in stack if v in (a, b)]
+        for f in dihedral_maps(n):
+            if f(v) == 0 and sorted(f(x) for x in neighbours) < own:
+                return True
+    current = sum(
+        a < c < b < e or c < a < e < b for (a, b), (c, e) in combinations(stack, 2)
+    )
+    left = n * d // 2 - len(stack)
+    pairs = left * (left - 1) // 2 - sum(r * (r - 1) // 2 for r in remaining)
+    slack = best - current - pairs
+    return slack > 0 and residual_capacity(stack, remaining) < slack
 
 
 def reference_walk(n, d, prefix=(), prune=None):

@@ -84,11 +84,16 @@ def edited_checkpoint(draw):
 
 
 def _load_checkpoint_bytes(run, data):
+    """Load data as a checkpoint file; a rejection must name that file."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "shard-0.ckpt")
         with open(path, "wb") as handle:
             handle.write(data)
-        return load_shard_checkpoint(path, run, BOUNDS.lower, BOUNDS.upper)
+        try:
+            return load_shard_checkpoint(path, run, BOUNDS.lower, BOUNDS.upper)
+        except ValueError as exc:
+            assert path in str(exc), exc
+            raise
 
 
 class TestParsersRaiseOnlyValueError:

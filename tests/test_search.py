@@ -26,7 +26,6 @@ from maxcross.graph import (
 from maxcross.search import (
     REFERENCE_VALUES,
     _pool_size,
-    _residual_capacity,
     _search_shard,
     convex_max,
     load_shard_checkpoint,
@@ -39,7 +38,7 @@ from maxcross.search import (
 from reference import (
     dihedral_relabelings,
     keeps_dihedral_representative,
-    residual_capacity,
+    prune_decision,
     sample_by_pairing,
 )
 
@@ -223,21 +222,38 @@ class TestConvexMax:
                 assert crossed <= (m - k) * (m - k - 1) // 2 - shared, (graph.edges, k)
 
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
-    def test_residual_capacity_matches_reference(self, n, d):
-        # the one-pass capacity must equal the stack-based definition at every
-        # node the walk offers to its prune hook, not merely bound it
-        nodes = 0
+    def test_residual_capacity_matches_reference(self, n, d, monkeypatch):
+        # the hook's cut at every node must equal the decision rebuilt from the
+        # dihedral predicate, the future-pair bound and the stack-based
+        # capacity, with best the largest kept leaf so far: the capacity pass
+        # stops once it reaches the slack, which must not change a cut
+        import maxcross.search as search
 
-        def check(stack, remaining):
-            nonlocal nodes
-            nodes += 1
-            got = _residual_capacity(d, stack, remaining, sum(remaining))
-            assert got == residual_capacity(stack, remaining), (stack, remaining)
-            return False
+        original = search.lex_fill
+        order = ConvexOrder.identity(n)
+        decisions = Counter()
+        for floor in (0, best_known(n, d).lower):
+            for prefix in shard_prefixes(n, d):
+                best = floor
 
-        for _ in lex_fill(n, d, (), check):
-            pass
-        assert nodes > 1
+                def spy(n_, d_, prefix_, prune):
+                    def check(stack, remaining):
+                        cut = prune(stack, remaining)
+                        expected = prune_decision(n, d, stack, remaining, best)
+                        assert cut == expected, (stack, remaining, best)
+                        decisions[cut] += 1
+                        return cut
+
+                    nonlocal best
+                    for edges in original(n_, d_, prefix_, check):
+                        graph = RegularGraph(n, d, edges)
+                        if keeps_dihedral_representative(graph):
+                            best = max(best, crossings_convex(graph, order).total)
+                        yield edges
+
+                monkeypatch.setattr(search, "lex_fill", spy)
+                assert _search_shard(n, d, prefix, floor)[0] == best
+        assert decisions[True] and decisions[False]
 
     def test_determinism_across_workers(self):
         runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
@@ -396,6 +412,59 @@ class TestCheckpoints:
         assert out == ""
         assert err.startswith("error: checkpoint ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "line, replacement, message",
+        [
+            (1, "", "missing field 'n'"),
+            (1, "n six", "bad field n"),
+            (2, "d 2.0", "bad field d"),
+            (3, "shard", "bad field shard"),
+            (4, "prefix 0-2-0-3", "bad field prefix"),
+            (4, "prefix 0-2 0-x", "bad field prefix"),
+            (5, "examined x", "bad field examined"),
+            (6, "best", "bad field best"),
+            (7, "witness 1-4-1", "bad field witness"),
+            (3, "shard 3", "different run"),
+            (5, "examined -1", "negative examined"),
+        ],
+    )
+    def test_field_rejection_names_the_file(self, tmp_path, line, replacement, message):
+        # a missing or unparsable field, or one that does not match the run,
+        # is refused with a message that names the file (and the field)
+        run, outcome = _real_shard(4)
+        path = tmp_path / "shard-4.ckpt"
+        write_shard_checkpoint(str(path), run, outcome)
+        lines = path.read_text().splitlines()
+        lines[line] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message) as caught:
+            load_shard_checkpoint(str(path), run, 7, 7)
+        assert str(path) in str(caught.value)
+
+    def test_non_utf8_checkpoint_names_the_file(self, tmp_path):
+        path = tmp_path / "shard-4.ckpt"
+        path.write_bytes(b"ckpt v1\nn 6\nd \xff\n")
+        with pytest.raises(ValueError) as caught:
+            load_shard_checkpoint(str(path), _real_shard(4)[0], 7, 7)
+        assert str(caught.value) == f"checkpoint {path}: not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "line, replacement, name",
+        [(5, "examined x", "examined"), (7, "witness 0-2 0-3 1-4-1 1-5 2-4 3-5", "witness")],
+    )
+    def test_malformed_field_named_on_stderr(self, capsys, tmp_path, line, replacement, name):
+        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
+        path = tmp_path / "shard-4.ckpt"
+        lines = path.read_text().splitlines()
+        lines[line] = replacement
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: checkpoint {path}: bad field {name}\n"
+
     def test_witness_without_examined_graphs_rejected(self, capsys, tmp_path):
         # the search counts a leaf before keeping it as the witness, so a
         # witness beside examined 0 would silently lower graphs_examined
@@ -509,6 +578,24 @@ class TestSamplers:
             assert a == b
             assert a.n == n and a.d == d
 
+    @pytest.mark.parametrize(
+        "n, d, seed, edges",
+        [
+            # sparse, sampled directly
+            (12, 4, 3, "0-1 0-2 0-4 0-7 1-2 1-7 1-9 2-9 2-10 3-4 3-5 3-6 3-8 4-10 "
+                       "4-11 5-6 5-9 5-11 6-10 6-11 7-8 7-10 8-9 8-11"),
+            # odd degree, from a circulant with the offset n/2
+            (10, 3, 4, "0-4 0-6 0-7 1-2 1-3 1-5 2-6 2-9 3-6 3-7 4-8 4-9 5-8 5-9 7-8"),
+            # dense, the complement of a sampled 2-regular graph
+            (9, 6, 5, "0-1 0-2 0-3 0-6 0-7 0-8 1-2 1-3 1-5 1-7 1-8 2-3 2-4 2-5 2-7 "
+                      "3-4 3-5 3-6 4-5 4-6 4-7 4-8 5-6 5-8 6-7 6-8 7-8"),
+        ],
+    )
+    def test_graph_sampler_draws_are_pinned(self, n, d, seed, edges):
+        # the random stream of every probe trial runs through this sampler
+        graph = sample_regular_graph(n, d, random.Random(seed))
+        assert " ".join(f"{u}-{v}" for u, v in graph.edges) == edges
+
     def test_drawing_sampler_general_position(self):
         from maxcross.geometry import validate_general_position
 
@@ -607,6 +694,16 @@ class TestPerturbationProbe:
     def test_k4_range(self):
         result = perturbation_probe(4, 3, 10, seed=1)
         assert result.max_crossings in (0, 1)
+
+    def test_result_is_pinned(self):
+        # graphs and positions share one random stream, so a sampler that
+        # draws differently moves this result
+        result = perturbation_probe(10, 4, 200, seed=7)
+        edges = " ".join(f"{u}-{v}" for u, v in result.witness.edges)
+        assert (result.max_crossings, edges) == (
+            57,
+            "0-1 0-2 0-5 0-9 1-3 1-5 1-6 2-3 2-4 2-9 3-7 3-9 4-6 4-7 4-8 5-8 5-9 6-7 6-8 7-8",
+        )
 
     def test_deterministic(self):
         a = perturbation_probe(6, 3, 200, seed=9)
