@@ -5,9 +5,9 @@
 Prints one JSON line for convex_max(N, D, long_run=True) on W workers: its
 wall time, maximum, graphs examined and witness.  With --count it instead
 runs on one worker, counts every call of the prune hook that the search
-hands to lex_fill (a search node, shard roots included) and prints the
-count; the wrapper slows the search, so that run is not timed.  Point
-PYTHONPATH at another checkout's src to measure that tree.
+hands to lex_fill (a search node, shard roots and leaves included) and
+prints the count; the wrapper slows the search, so that run is not timed.
+Point PYTHONPATH at another checkout's src to measure that tree.
 """
 
 import argparse

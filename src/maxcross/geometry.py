@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegeneracyError
-from .graph import Edge, RegularGraph
+from .graph import Edge, RegularGraph, read_utf8
 
 DRAWING_FORMAT_HEADER = "drawing v1"
 
@@ -247,17 +247,20 @@ def drawing_from_text(text: str) -> GeometricDrawing:
         raise ValueError(f"expected {n} point and {m} edge lines, got {len(body)}")
     positions = []
     for line in body[:n]:
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"bad point line {line!r}")
-        xn, xd, yn, yd = map(int, parts)
+        try:
+            xn, xd, yn, yd = map(int, line.split())
+        except ValueError as exc:
+            raise ValueError(f"bad point line {line!r}") from exc
         if xd == 0 or yd == 0:
             raise ValueError(f"zero denominator in point line {line!r}")
         positions.append(Point(Fraction(xn, xd), Fraction(yn, yd)))
     edges = []
     degree = [0] * n
     for line in body[n:]:
-        u, v = map(int, line.split())
+        try:
+            u, v = map(int, line.split())
+        except ValueError as exc:
+            raise ValueError(f"bad edge line {line!r}") from exc
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge {line!r} names a vertex outside 0..{n - 1}")
         edges.append((u, v))
@@ -276,8 +279,12 @@ def save_drawing(drawing: GeometricDrawing, path, trailer: str | None = None) ->
 
 
 def load_drawing(path) -> GeometricDrawing:
-    with open(path, "r", encoding="utf-8") as handle:
-        return drawing_from_text(handle.read())
+    """Read a drawing v1 file; every ValueError names the file."""
+    text = read_utf8(path, "drawing")
+    try:
+        return drawing_from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"drawing {path}: {exc}") from exc
 
 
 def crossing_total(positions: Sequence[tuple[int, int]], edges: Sequence[Edge]) -> int:

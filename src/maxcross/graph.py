@@ -180,17 +180,18 @@ def lex_fill(
 
     The one degree-filling walk behind enumeration and the convex search:
     each node joins the first vertex u with free stubs to a later vertex,
-    so the tuples come out in lexicographic order.  Before expanding a node
-    the walk calls prune(stack, remaining) with its live edge stack and
-    per-vertex free stubs (read, never modify); a true result skips the
-    node's subtree.  Completed graphs are yielded, never pruned.
+    so the tuples come out in lexicographic order.  The walk offers every
+    node, completed graphs included, to prune(stack, remaining) with its
+    live edge stack and per-vertex free stubs (read, never modify); a true
+    result skips the node: its subtree, or for a completed graph, its yield.
 
     A node that cannot fill u, with fewer free vertices above its last
     partner than u has free stubs, is cut before its hook call.  The parent
     makes that test before it pushes a child (u, w) that leaves u with
     left > 0 stubs: it needs left free vertices above w.  That count only
     falls as w rises, so a failed test ends the parent's scan.  The root and
-    a child that saturates u have no such parent test and test themselves.
+    a child that saturates u have no such parent test and, unless complete,
+    test themselves.
 
     The edge stack is the walk's whole state: each edge (u, w) placed after
     the prefix was placed by the node that fills u, and w is the partner
@@ -218,7 +219,8 @@ def lex_fill(
     while u < n and not remaining[u]:
         u += 1
     if u == n:
-        yield tuple(stack)
+        if not (prune and prune(stack, remaining)):
+            yield tuple(stack)
         return
     lu, w = stack[-1] if stack else (-1, -1)
     if lu != u:
@@ -245,7 +247,8 @@ def lex_fill(
                 while v < n and not remaining[v]:
                     v += 1
                 if v == n:
-                    yield tuple(stack)
+                    if not (prune and prune(stack, remaining)):
+                        yield tuple(stack)
                 elif n - v - 1 - remaining[v + 1 :].count(0) >= remaining[v] and not (
                     prune and prune(stack, remaining)
                 ):
@@ -315,6 +318,20 @@ def save_graph(graph: RegularGraph, path) -> None:
         handle.write(graph_to_text(graph))
 
 
-def load_graph(path) -> RegularGraph:
+def read_utf8(path, kind: str) -> str:
+    """The whole text of a UTF-8 file.  A file that does not decode raises
+    ValueError naming the kind of file and its path."""
     with open(path, "r", encoding="utf-8") as handle:
-        return graph_from_text(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{kind} {path}: not UTF-8 text") from exc
+
+
+def load_graph(path) -> RegularGraph:
+    """Read a regular-graph v1 file; every ValueError names the file."""
+    text = read_utf8(path, "graph")
+    try:
+        return graph_from_text(text)
+    except ValueError as exc:
+        raise ValueError(f"graph {path}: {exc}") from exc

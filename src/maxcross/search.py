@@ -16,11 +16,12 @@ sorted((v - x) % n for x in N(v)); they are the neighbourhood of 0 after
 relabeling by the rotation or the reflection that sends v to 0.  The search
 keeps a graph only if sorted(N(0)) is lexicographically at most every
 vertex's two patterns.  A saturated vertex's neighbourhood is final, so the
-test cuts prefixes: convex_max skips the vertex-0 stars that fail it, the
-prune hook tests each vertex the last edge saturated, and a leaf both ends
-of the last edge.  The witness is unchanged.  The lexicographically least
-maximizer is the least member of its orbit, and the first d edges of any
-relabeling join 0 to one vertex's forward or backward pattern, so it passes.
+test cuts prefixes: convex_max skips the vertex-0 stars that fail it, and
+the prune hook tests each vertex that a node's last edge saturated, at a
+leaf both of its ends.  The witness is unchanged.  The lexicographically
+least maximizer is the least member of its orbit, and the first d edges of
+any relabeling join 0 to one vertex's forward or backward pattern, so it
+passes.
 The prune stays strict, so it is reached, and no graph before it in stream
 order is a maximizer, so the strictly-greater merge still reports it, also
 when some shards come from checkpoints written without this test.
@@ -44,7 +45,9 @@ from .constructions import ConvexOrder, crossings_convex, interleave_masks
 from .errors import ResourceLimitError
 from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
-from .graph import Edge, RegularGraph, feasible, lex_fill, make_circulant, shard_prefixes
+from .graph import (
+    Edge, RegularGraph, feasible, lex_fill, make_circulant, read_utf8, shard_prefixes
+)
 
 SEARCH_CAP = 9
 LONG_RUN_CAP = 12
@@ -76,10 +79,11 @@ REFERENCE_VALUES: dict[tuple[int, int], int] = {
 class SearchResult:
     """Outcome of one maximization run.
 
-    witness is the lexicographically least labeled graph attaining
-    max_crossings (under the identity convex order in convex mode, in its
-    best sampled drawing in perturbation mode).  Everything except elapsed
-    is deterministic for fixed arguments and seed.
+    In convex mode, witness is the lexicographically least labeled graph
+    attaining max_crossings under the identity convex order.  In
+    perturbation mode it is the graph of the first trial whose sampled
+    drawing reached max_crossings.  Everything except elapsed is
+    deterministic for fixed arguments and seed.
     """
 
     n: int
@@ -100,20 +104,20 @@ def _search_shard(
     seeds pruning: branches whose optimistic completion cannot beat it are
     cut, while ties stay reachable, so the first graph attaining the final
     maximum in lexicographic stream order is always found.  Graphs examined
-    counts the leaves reached that keep the dihedral test (module
-    docstring), so a sharper bound lowers it.  The prefix is vertex 0's
-    star; the shard's root is pruned like every other node.
+    counts the leaves that keep the dihedral test (module docstring), so a
+    sharper bound lowers it.  The prefix is vertex 0's star.
 
-    Every search node is one call of the prune hook, which does the node's
-    whole step itself: it places the node's last edge (its crossings with
-    the placed edges, the placed set and the pattern keys), runs the
-    dihedral test on the vertices that edge saturated, and cuts when no
-    completion can beat best.  The placed chords gain at most their residual
-    capacity from the edges still to place, and two edges still to place
-    cross only if they share no vertex, so at most C(left, 2) - shared[k]
-    times.  The capacity is summed chord by chord and the pass stops once it
-    reaches the slack; every term is nonnegative, so the cut is the same as
-    with the whole sum.
+    Every search node, the shard's root and the leaves included, is one call
+    of the prune hook, which does the node's whole step itself: it places
+    the node's last edge (its crossings with the placed edges, the placed
+    set and the pattern keys), runs the dihedral test on the vertices that
+    edge saturated, and cuts when no completion can beat best.  A leaf the
+    hook keeps is yielded, and the loop below only reads its crossings.  The
+    placed chords gain at most their residual capacity from the edges still
+    to place, and two edges still to place cross only if they share no
+    vertex, so at most C(left, 2) - shared[k] times.  The capacity is summed
+    chord by chord and the pass stops once it reaches the slack; every term
+    is nonnegative, so the cut is the same as with the whole sum.
     """
     masks, bits, pattern_bits, starts = _chord_tables(n)
     m = n * d // 2
@@ -127,32 +131,19 @@ def _search_shard(
     shared = [0] * (m + 1)
     patterns = [0] * (m + 1)
 
-    def place(k: int, u: int, w: int) -> int:
-        key = u * n + w
-        crossings[k] = crossings[k - 1] + (masks[key] & placed[k - 1]).bit_count()
-        placed[k] = placed[k - 1] | bits[key]
-        patterns[k] = patterns[k - 1] | pattern_bits[key]
-        return crossings[k]
-
-    def outranks(k: int, v: int) -> bool:
-        """True when a pattern of the saturated vertex v is lexicographically
-        below vertex 0's forward pattern, so no completion is kept."""
-        keys = patterns[k] >> 2 * n * v
-        return keys & full > own or keys >> n & full > own
-
     # After the k-th star edge vertex 0 keeps d - k stubs and the partner
-    # d - 1, so shared drops by both, as in prune below.
+    # d - 1, so shared drops by both, as in prune below.  Star edges meet at
+    # 0 and cross nothing, chord (0, w) is at index w, and the root's hook
+    # call places the last one.
     shared[0] = n * (d * (d - 1) // 2)
-    for k, (u, w) in enumerate(prefix, 1):
-        place(k, u, w)
+    for k, (_, w) in enumerate(prefix[:-1], 1):
+        placed[k] = placed[k - 1] | bits[w]
+        patterns[k] = patterns[k - 1] | pattern_bits[w]
         shared[k] = shared[k - 1] - (d - k) - (d - 1)
-    # The prefix saturates vertex 0: its forward key is the one to beat.
-    own = patterns[len(prefix)] & full
+    # Vertex 0's forward key, the one to beat (see _chord_tables).
+    own = sum(1 << n - 1 - w for _, w in prefix)
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
-        # place and outranks, inlined: this is the one call per node.  At the
-        # root the last edge is the star's, and placing it again gives the
-        # values the prefix loop set.
         k = len(stack)
         u, w = stack[-1]
         key = u * n + w
@@ -175,6 +166,10 @@ def _search_shard(
         pairs = shared[k] = shared[k - 1] - at_u - at_w
         left = m - k
         slack = best - current - (left * (left - 1) // 2 - pairs)
+        # A leaf always returns here.  One edge before it, left is 1, the pair
+        # term is 0 and each placed chord's min(inside, outside) is 1 exactly
+        # when the last edge crosses it, so the bound is exact and the parent
+        # already cut every leaf below best.
         if slack <= 0:
             return False
         # Residual capacity.  A future edge crosses chord (a, b) only with one
@@ -214,10 +209,7 @@ def _search_shard(
     witness: Optional[tuple[Edge, ...]] = None
     examined = 0
     for edges in lex_fill(n, d, prefix, prune):
-        u, w = edges[-1]
-        current = place(m, u, w)
-        if outranks(m, u) or outranks(m, w):
-            continue
+        current = crossings[m]
         examined += 1
         if current > best:
             best = current
@@ -325,11 +317,7 @@ def load_shard_checkpoint(
     file on the first damage or mismatch, and the field when a value does not
     parse.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            lines = handle.read().splitlines()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"checkpoint {path}: not UTF-8 text") from exc
+    lines = read_utf8(path, "checkpoint").splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
         raise ValueError(f"missing '{CHECKPOINT_HEADER}' header in {path}")
     # key -> value of every non-blank line; a repeated key keeps its last value

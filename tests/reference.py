@@ -126,7 +126,8 @@ def reference_walk(n, d, prefix=(), prune=None):
     """Sorted edge tuples of every labeled d-regular graph extending prefix,
     by plain recursion: fill the first vertex with free stubs from partners
     above its last partner, cut a node that has too few free partners left,
-    and only then ask prune(stack, remaining)."""
+    and only then ask prune(stack, remaining).  A completed graph is asked
+    too, and yielded unless cut."""
     remaining = [d] * n
     for u, v in prefix:
         remaining[u] -= 1
@@ -136,7 +137,8 @@ def reference_walk(n, d, prefix=(), prune=None):
     def visit():
         unsaturated = [v for v in range(n) if remaining[v]]
         if not unsaturated:
-            yield tuple(stack)
+            if not (prune and prune(stack, remaining)):
+                yield tuple(stack)
             return
         u = unsaturated[0]
         if stack and stack[-1][0] == u:

@@ -300,6 +300,25 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [
+            (b"\n1 1 1 1\n", b"\n1 1 0 q\n", "bad point line '1 1 0 q'"),
+            (b"\n1 2\n", b"\n1 2 5\n", "bad edge line '1 2 5'"),
+            (b"\n1 2\n", b"\n1 \xff\n", "not UTF-8 text"),
+            (b"drawing v1", b"drawing v9", "missing 'drawing v1' header"),
+        ],
+    )
+    def test_drawing_error_names_the_file(self, capsys, tmp_path, good, bad, message):
+        drw = tmp_path / "bad.drw"
+        text = run_cli(capsys, "construct", "starlike", "--n", "4", "--d", "2")[1].encode()
+        assert good in text
+        drw.write_bytes(text.replace(good, bad))
+        code, out, err = run_cli(capsys, "count", str(drw))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: drawing {drw}: {message}\n"
+
     def test_negative_count_in_size_line(self, capsys, tmp_path):
         # n + m matches the empty body, so only the sign check stops the
         # parser from allocating a million-entry degree list

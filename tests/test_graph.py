@@ -23,6 +23,7 @@ from maxcross.graph import (
     graph_from_text,
     graph_to_text,
     lex_fill,
+    load_graph,
     make_circulant,
     make_complete,
     make_cycle,
@@ -180,9 +181,10 @@ class TestEnumeration:
 
     def test_prune_skips_exactly_the_subtree(self):
         # cutting the node whose first k edges are P removes exactly the
-        # graphs that start with P and leaves the rest of the stream in order
+        # graphs that start with P and leaves the rest of the stream in order;
+        # with k = m = 6 the node is a leaf and only that graph goes
         full = list(lex_fill(6, 2))
-        for k in (1, 3, 5):
+        for k in (1, 3, 5, 6):
             prefix = full[len(full) // 2][:k]
 
             def prune(stack, remaining):
@@ -191,11 +193,16 @@ class TestEnumeration:
             kept = [edges for edges in full if edges[:k] != prefix]
             assert len(kept) < len(full)
             assert list(lex_fill(6, 2, prune=prune)) == kept
+        # a complete prefix is a leaf too
+        done = full[0]
+        assert list(lex_fill(6, 2, done, lambda stack, remaining: False)) == [done]
+        assert list(lex_fill(6, 2, done, lambda stack, remaining: True)) == []
 
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 3)])
     def test_matches_reference_walk(self, n, d):
         # a seeded random cut on both walks: equal streams and the same
-        # hook calls in the same order, so the cuts fall on the same nodes.
+        # hook calls in the same order, so the cuts fall on the same nodes,
+        # leaves included: every graph yielded was offered first.
         # Beside whole stars, a part of one leaves vertex 0 with free stubs,
         # so the root tests itself, and the last star without its first edge
         # leaves vertex 0 no partner, so nothing is yielded and no node is
@@ -220,6 +227,7 @@ class TestEnumeration:
                 assert runs[0] == ([], [])
             else:
                 assert runs[0][0] and len(runs[0][1]) > len(runs[0][0])
+                assert set(runs[0][0]) <= {stack for stack, _ in runs[0][1]}
 
 
 class TestSerialization:
@@ -237,3 +245,17 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             graph_from_text("bogus v9\n1 1\n0 1\n")
+
+    @pytest.mark.parametrize(
+        "good, bad, message",
+        [(b"\n1 2\n", b"\n1 2 5\n", "bad edge line '1 2 5'"),
+         (b"\n1 2\n", b"\n1 \xff\n", "not UTF-8 text")],
+    )
+    def test_load_error_names_the_file(self, tmp_path, good, bad, message):
+        path = tmp_path / "bad.graph"
+        text = graph_to_text(make_cycle(4)).encode()
+        assert good in text
+        path.write_bytes(text.replace(good, bad))
+        with pytest.raises(ValueError) as caught:
+            load_graph(str(path))
+        assert str(caught.value) == f"graph {path}: {message}"

@@ -226,12 +226,16 @@ class TestConvexMax:
         # the hook's cut at every node must equal the decision rebuilt from the
         # dihedral predicate, the future-pair bound and the stack-based
         # capacity, with best the largest kept leaf so far: the capacity pass
-        # stops once it reaches the slack, which must not change a cut
+        # stops once it reaches the slack, which must not change a cut.  The
+        # bound is exact one edge before a leaf, so at a leaf the cut is the
+        # whole graph's dihedral verdict alone
         import maxcross.search as search
 
         original = search.lex_fill
         order = ConvexOrder.identity(n)
+        m = n * d // 2
         decisions = Counter()
+        leaves = Counter()
         for floor in (0, best_known(n, d).lower):
             for prefix in shard_prefixes(n, d):
                 best = floor
@@ -242,6 +246,10 @@ class TestConvexMax:
                         expected = prune_decision(n, d, stack, remaining, best)
                         assert cut == expected, (stack, remaining, best)
                         decisions[cut] += 1
+                        if len(stack) == m:
+                            graph = RegularGraph(n, d, tuple(stack))
+                            assert cut != keeps_dihedral_representative(graph), stack
+                            leaves[cut] += 1
                         return cut
 
                     nonlocal best
@@ -254,6 +262,7 @@ class TestConvexMax:
                 monkeypatch.setattr(search, "lex_fill", spy)
                 assert _search_shard(n, d, prefix, floor)[0] == best
         assert decisions[True] and decisions[False]
+        assert leaves[True] and leaves[False]
 
     def test_determinism_across_workers(self):
         runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
@@ -310,11 +319,11 @@ class TestConvexMax:
             assert capsys.readouterr().out == expected, (n, d)
 
     @pytest.mark.parametrize(
-        "n,d,calls,cuts", [(8, 4, 238, 115), (9, 6, 2005, 649), (10, 6, 31734, 12260)]
+        "n,d,calls,cuts", [(8, 4, 240, 115), (9, 6, 2006, 649), (10, 6, 31738, 12260)]
     )
     def test_pruning_work_is_pinned(self, n, d, calls, cuts, monkeypatch):
-        # nodes offered to the prune hook and nodes it cut, shard roots
-        # included; a change to the bound or the node step shows here first
+        # nodes offered to the prune hook and nodes it cut, shard roots and
+        # leaves included; a change to the bound or the node step shows here first
         counts = _count_prune_calls(monkeypatch)
         convex_max(n, d, long_run=True)
         assert counts == [calls, cuts]
