@@ -185,17 +185,23 @@ def lex_fill(
     live edge stack and per-vertex free stubs (read, never modify); a true
     result skips the node: its subtree, or for a completed graph, its yield.
 
-    A node that cannot fill u, with fewer free vertices above its last
-    partner than u has free stubs, is cut before its hook call.  The parent
-    makes that test before it pushes a child (u, w) that leaves u with
-    left > 0 stubs: it needs left free vertices above w.  That count only
-    falls as w rises, so a failed test ends the parent's scan.  The root and
-    a child that saturates u have no such parent test and, unless complete,
-    test themselves.
+    Every node, the root included, is entered the same way.  With (u, w)
+    its last edge ((0, 0) for the root of an empty prefix), it goes on
+    filling u above w while u has free stubs; otherwise it fills the next
+    vertex v with free stubs from v + 1 on.  A completed graph is offered to
+    the hook and yielded.  Any other node with fewer free partners left than
+    its vertex has free stubs is cut before its hook call.  When such a node
+    goes on filling its parent's vertex, its parent's scan ends too: each
+    sibling above it has fewer free partners still, so a scan pushes at
+    most one dead child.
 
     The edge stack is the walk's whole state: each edge (u, w) placed after
     the prefix was placed by the node that fills u, and w is the partner
     that node tried last, so backtracking pops it and resumes at w + 1.
+
+    A prefix edge (u, v) may not be placed while a vertex below u has free
+    stubs: no graph's sorted edge list starts that way.  Each shard prefix,
+    the d edges at vertex 0, keeps this rule.
 
     Contract, relied on by the convex search's capacity bound: at every
     prune call, with u the first vertex with free stubs, every vertex below
@@ -210,60 +216,52 @@ def lex_fill(
             raise ValueError("prefix edges must be strictly increasing")
         if remaining[u] == 0 or remaining[v] == 0:
             raise ValueError(f"prefix edge ({u}, {v}) oversaturates a vertex")
+        starved = [x for x in range(u) if remaining[x]]
+        if starved:
+            raise ValueError(
+                f"prefix edge ({u}, {v}) is placed while vertex {starved[0]} "
+                "has free stubs"
+            )
         remaining[u] -= 1
         remaining[v] -= 1
         last = (u, v)
     stack = list(prefix)
     base = len(stack)
-    u = 0  # every vertex below u is saturated
-    while u < n and not remaining[u]:
-        u += 1
-    if u == n:
-        if not (prune and prune(stack, remaining)):
-            yield tuple(stack)
-        return
-    lu, w = stack[-1] if stack else (-1, -1)
-    if lu != u:
-        w = u
-    if n - w - 1 - remaining[w + 1 :].count(0) < remaining[u] or (
-        prune and prune(stack, remaining)
-    ):
-        return
-    # At the top of the loop the node filling u resumes its scan above w.
+    u, w = stack[-1] if stack else (0, 0)
     while True:
-        left = remaining[u] - 1
-        w += 1
-        while w < n and not remaining[w]:
+        # Enter the node whose last edge is (u, w); leaves and cuts set w = n.
+        if not remaining[u]:
+            u += 1
+            while u < n and not remaining[u]:
+                u += 1
+            w = u
+        if u == n:
+            if not (prune and prune(stack, remaining)):
+                yield tuple(stack)
+        elif n - w - 1 - remaining[w + 1 :].count(0) < remaining[u]:
+            if u < w and len(stack) > base:
+                # Still filling its parent's vertex: w = n ends that scan too.
+                stack.pop()
+                remaining[u] += 1
+                remaining[w] += 1
+            w = n
+        elif prune and prune(stack, remaining):
+            w = n
+        # Place u's next free partner above w, popping nodes that have none.
+        while True:
             w += 1
-        if w < n and (not left or n - w - 1 - remaining[w + 1 :].count(0) >= left):
-            remaining[u] = left
-            remaining[w] -= 1
-            stack.append((u, w))
-            if left:
-                if not (prune and prune(stack, remaining)):
-                    continue
-            else:
-                v = u + 1
-                while v < n and not remaining[v]:
-                    v += 1
-                if v == n:
-                    if not (prune and prune(stack, remaining)):
-                        yield tuple(stack)
-                elif n - v - 1 - remaining[v + 1 :].count(0) >= remaining[v] and not (
-                    prune and prune(stack, remaining)
-                ):
-                    u = w = v
-                    continue
-            # The child was a leaf or cut: undo it and resume the scan above w.
+            while w < n and not remaining[w]:
+                w += 1
+            if w < n:
+                break
+            if len(stack) == base:
+                return
+            u, w = stack.pop()
             remaining[u] += 1
             remaining[w] += 1
-            stack.pop()
-            continue
-        if len(stack) == base:
-            return
-        u, w = stack.pop()
-        remaining[u] += 1
-        remaining[w] += 1
+        remaining[u] -= 1
+        remaining[w] -= 1
+        stack.append((u, w))
 
 
 def enumerate_labeled_regular(n: int, d: int) -> Iterator[RegularGraph]:

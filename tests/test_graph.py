@@ -198,19 +198,34 @@ class TestEnumeration:
         assert list(lex_fill(6, 2, done, lambda stack, remaining: False)) == [done]
         assert list(lex_fill(6, 2, done, lambda stack, remaining: True)) == []
 
+    def test_prefix_must_saturate_lower_vertices(self):
+        # (1, 3) is placed while vertex 0 still has a free stub, so no graph
+        # extends this prefix; the walk refuses it rather than yield non-graphs
+        with pytest.raises(ValueError) as caught:
+            list(lex_fill(5, 2, ((0, 2), (1, 3))))
+        assert str(caught.value) == (
+            "prefix edge (1, 3) is placed while vertex 0 has free stubs"
+        )
+
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 3)])
     def test_matches_reference_walk(self, n, d):
         # a seeded random cut on both walks: equal streams and the same
         # hook calls in the same order, so the cuts fall on the same nodes,
         # leaves included: every graph yielded was offered first.
         # Beside whole stars, a part of one leaves vertex 0 with free stubs,
-        # so the root tests itself, and the last star without its first edge
+        # so the root tests itself; the first d + 1 edges of the first graph
+        # saturate vertex 0 and stop part-way through vertex 1, so the root
+        # goes on filling vertex 1; and the last star without its first edge
         # leaves vertex 0 no partner, so nothing is yielded and no node is
         # offered to the hook
         prefixes = shard_prefixes(n, d)
         open_star = prefixes[len(prefixes) // 2][: d // 2]
+        past_star = next(lex_fill(n, d))[: d + 1]
         dead_star = prefixes[-1][1:]
-        cases = [()] + prefixes[:: len(prefixes) // 3] + [open_star, dead_star]
+        cases = (
+            [()] + prefixes[:: len(prefixes) // 3]
+            + [open_star, past_star, dead_star]
+        )
         for seed, prefix in enumerate(cases):
             runs = []
             for walk in (lex_fill, reference_walk):
