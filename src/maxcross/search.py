@@ -25,6 +25,24 @@ passes.
 The prune stays strict, so it is reached, and no graph before it in stream
 order is a maximizer, so the strictly-greater merge still reports it, also
 when some shards come from checkpoints written without this test.
+
+Dense cells are searched through their complement H = K_n - G.  In convex
+position every 4-set of points gives one crossing of K_n, so
+cr(G) = C(n, 4) - (sum of c(e) over the edges e of H) + cr(H), where
+c(e) = (k - 1)(n - k - 1) counts the chords of K_n that cross a chord e
+spanning k = b - a steps.  When H's degree d' = n - 1 - d is positive and
+2 d' < d, a shard walks H, which has far fewer edges: a rule on (n, d)
+alone, _searches_complement.  Sorted edge lists of equal length compare by
+the least edge in which they differ, which lies in exactly one of G and H,
+so G1 < G2 exactly when H1 > H2, and the same holds for the neighbourhood
+patterns.  So in H the dihedral test is reversed: keep H when vertex 0's H
+pattern is lexicographically at least every vertex's two.  The kept H are
+exactly the complements of the kept G, and the H stream runs in reverse G
+order, so inside a shard a tie replaces the witness: the last H that
+reaches the maximum is the lexicographically least G.  The bound on the
+weight H's edges still owe misses the last edge's, so it is not exact one
+edge before a leaf, and a leaf below best is cut explicitly.  Shards,
+checkpoints and results stay in G terms.
 """
 
 from __future__ import annotations
@@ -95,6 +113,13 @@ class SearchResult:
     mode: str
 
 
+def _searches_complement(n: int, d: int) -> bool:
+    """True when _search_shard walks the complement of cell (n, d): its
+    degree n - 1 - d is positive and less than half of d."""
+    spare = n - 1 - d
+    return 0 < spare and 2 * spare < d
+
+
 def _search_shard(
     n: int, d: int, prefix: tuple[Edge, ...], floor: int
 ) -> tuple[int, Optional[tuple[Edge, ...]], int]:
@@ -104,42 +129,70 @@ def _search_shard(
     seeds pruning: branches whose optimistic completion cannot beat it are
     cut, while ties stay reachable, so the first graph attaining the final
     maximum in lexicographic stream order is always found.  Graphs examined
-    counts the leaves that keep the dihedral test (module docstring), so a
-    sharper bound lowers it.  The prefix is vertex 0's star.
+    counts the leaves the hook keeps: they keep the dihedral test (module
+    docstring) and reach best, so a sharper bound lowers it.  The prefix is
+    vertex 0's star in G.
+
+    The walk is lex_fill over G, or over its complement H when
+    _searches_complement(n, d) (module docstring), from vertex 0's star in
+    that space; a complement witness is turned back into G.  Both spaces
+    run the one hook below and differ only in its tables (_space_tables).
+    In H the objective starts at C(n, 4) and each chord subtracts its
+    weight c(e), and a lower bound on the weight still to pay is subtracted
+    in the slack; in G both are 0.  The pattern keys always describe G: in
+    H they start as K_n's and each chord removes its bits, so comparing G's
+    keys is the reversed test on H's.
 
     Every search node, the shard's root and the leaves included, is one call
     of the prune hook, which does the node's whole step itself: it places
     the node's last edge (its crossings with the placed edges, the placed
     set and the pattern keys), runs the dihedral test on the vertices that
     edge saturated, and cuts when no completion can beat best.  A leaf the
-    hook keeps is yielded, and the loop below only reads its crossings.  The
+    hook keeps is yielded, and the loop below only reads its value.  The
     placed chords gain at most their residual capacity from the edges still
-    to place, and two edges still to place cross only if they share no
-    vertex, so at most C(left, 2) - shared[k] times.  The capacity is summed
-    chord by chord and the pass stops once it reaches the slack; every term
-    is nonnegative, so the cut is the same as with the whole sum.
+    to place, and the left edges still to place cross each other at most
+    C(left, 2) times less the pairs of them that meet at a vertex.  The
+    capacity is summed chord by chord and the pass stops once it reaches the
+    slack; every term is nonnegative, so the cut is the same as with the
+    whole sum.
+
+    In G a tie keeps the first witness; in H, whose stream runs in reverse
+    G order, a tie replaces it.  In G no leaf below best is reached, as the
+    bound is exact one edge before a leaf; in H the hook cuts one.
     """
     masks, bits, pattern_bits, starts = _chord_tables(n)
-    m = n * d // 2
+    complement = _searches_complement(n, d)
+    degree, weight, step, value, keys = _space_tables(n, d, complement)
+    if complement:
+        # G's star at 0 fixes H's: the partners G leaves out
+        taken = {w for _, w in prefix}
+        walk_prefix = tuple((0, w) for w in range(1, n) if w not in taken)
+    else:
+        walk_prefix = prefix
+    m = n * degree // 2
     full = (1 << n) - 1
-    # crossings[k] and placed[k]: crossing count and edge bitmask of the
-    # first k edges on the walk's current path; shared[k]: the pairs of edges
-    # still to place that meet at a vertex, sum of C(free stubs, 2);
-    # patterns[k]: every vertex's two pattern keys (see _chord_tables).
-    crossings = [0] * (m + 1)
+    # crossings[k] and placed[k]: the objective (G's crossing count once
+    # complete) and the edge bitmask of the first k edges on the walk's
+    # current path; owed[k]: twice the pairs of edges still to place that
+    # meet at a vertex, plus each vertex's cheapest weight for its free
+    # stubs, so the edges still to place cross each other at most
+    # C(left, 2) - (owed[k] + 1) // 2 times more than they weigh;
+    # patterns[k]: every vertex's two G pattern keys (_chord_tables).
+    crossings = [value] * (m + 1)
     placed = [0] * (m + 1)
-    shared = [0] * (m + 1)
-    patterns = [0] * (m + 1)
+    owed = [0] * (m + 1)
+    patterns = [keys] * (m + 1)
 
-    # After the k-th star edge vertex 0 keeps d - k stubs and the partner
-    # d - 1, so shared drops by both, as in prune below.  Star edges meet at
-    # 0 and cross nothing, chord (0, w) is at index w, and the root's hook
-    # call places the last one.
-    shared[0] = n * (d * (d - 1) // 2)
-    for k, (_, w) in enumerate(prefix[:-1], 1):
+    # After the k-th star edge vertex 0 keeps degree - k stubs and the partner
+    # degree - 1, so owed drops by both steps, as in prune below.  Star edges
+    # meet at 0 and cross nothing, chord (0, w) is at index w, and the root's
+    # hook call places the last one.
+    owed[0] = n * sum(step[:degree])
+    for k, (_, w) in enumerate(walk_prefix[:-1], 1):
+        crossings[k] = crossings[k - 1] - weight[w]
         placed[k] = placed[k - 1] | bits[w]
-        patterns[k] = patterns[k - 1] | pattern_bits[w]
-        shared[k] = shared[k - 1] - (d - k) - (d - 1)
+        patterns[k] = patterns[k - 1] ^ pattern_bits[w]
+        owed[k] = owed[k - 1] - step[degree - k] - step[degree - 1]
     # Vertex 0's forward key, the one to beat (see _chord_tables).
     own = sum(1 << n - 1 - w for _, w in prefix)
 
@@ -148,10 +201,10 @@ def _search_shard(
         u, w = stack[-1]
         key = u * n + w
         current = crossings[k] = (
-            crossings[k - 1] + (masks[key] & placed[k - 1]).bit_count()
+            crossings[k - 1] + (masks[key] & placed[k - 1]).bit_count() - weight[key]
         )
         chords = placed[k] = placed[k - 1] | bits[key]
-        keys = patterns[k] = patterns[k - 1] | pattern_bits[key]
+        keys = patterns[k] = patterns[k - 1] ^ pattern_bits[key]
         at_u = remaining[u]
         at_w = remaining[w]
         if not at_u:
@@ -162,16 +215,18 @@ def _search_shard(
             row = keys >> 2 * n * w
             if row & full > own or row >> n & full > own:
                 return True
-        # C(r, 2) - C(r - 1, 2) = r - 1, and remaining is already r - 1.
-        pairs = shared[k] = shared[k - 1] - at_u - at_w
+        # The new free-stub counts at_u and at_w index the steps they shed.
+        lost = owed[k] = owed[k - 1] - step[at_u] - step[at_w]
         left = m - k
-        slack = best - current - (left * (left - 1) // 2 - pairs)
-        # A leaf always returns here.  One edge before it, left is 1, the pair
-        # term is 0 and each placed chord's min(inside, outside) is 1 exactly
-        # when the last edge crosses it, so the bound is exact and the parent
-        # already cut every leaf below best.
+        slack = best - current - left * (left - 1) // 2 + (lost + 1) // 2
         if slack <= 0:
             return False
+        # A leaf below best.  In G none is reached: one edge before it the
+        # bound is exact (the pair term is 0 and each placed chord's
+        # min(inside, outside) is 1 exactly when the last edge crosses it).
+        # In H the last edge's weight is not in the bound, so it is cut here.
+        if not left:
+            return True
         # Residual capacity.  A future edge crosses chord (a, b) only with one
         # free stub strictly inside it and one strictly outside, so the chord
         # gains at most the smaller count.  By the lex_fill contract, with u
@@ -179,7 +234,7 @@ def _search_shard(
         # and every placed chord starts at or below u.  So a chord (a, b) with
         # b <= u has no free stub inside, one with b > u sees the stubs of
         # u..b-1 inside (u+1..b-1 when a == u) and those above b outside, and
-        # a vertex b > u ends d - remaining[b] placed chords.
+        # a vertex b > u ends degree - remaining[b] placed chords.
         while not at_u:
             u += 1
             at_u = remaining[u]
@@ -193,7 +248,7 @@ def _search_shard(
             outside -= at_b
             if not outside:
                 return True
-            ends = d - at_b
+            ends = degree - at_b
             if ends:
                 if from_u >> b & 1:
                     ends -= 1
@@ -208,15 +263,46 @@ def _search_shard(
     best = floor
     witness: Optional[tuple[Edge, ...]] = None
     examined = 0
-    for edges in lex_fill(n, d, prefix, prune):
+    for edges in lex_fill(n, degree, walk_prefix, prune):
         current = crossings[m]
         examined += 1
-        if current > best:
+        if current > best or current == best and (complement or witness is None):
             best = current
             witness = edges
-        elif current == best and witness is None:
-            witness = edges
+    if complement and witness is not None:
+        dropped = set(witness)
+        witness = tuple(e for e in combinations(range(n), 2) if e not in dropped)
     return best, witness, examined
+
+
+@lru_cache(maxsize=None)
+def _space_tables(
+    n: int, d: int, complement: bool
+) -> tuple[int, tuple[int, ...], tuple[int, ...], int, int]:
+    """What _search_shard's hook reads for cell (n, d) beyond _chord_tables:
+    (the walk's degree, the weight of each chord at index a * n + b, the step
+    owed drops by when a vertex goes down to r free stubs at index r, the
+    objective and the pattern keys of the empty walk), built once per cell
+    and space per process.
+
+    In G the weights are 0 and step r is 2r, twice the drop of C(r + 1, 2)
+    to C(r, 2).  In H chord (a, b) weighs c(e) = (k - 1)(n - k - 1), k =
+    b - a, the chords of K_n it crosses.  The edges at a vertex have distinct
+    offsets y, so r of them weigh at least the r cheapest c(0, y), and step r
+    adds the (r + 1)-th cheapest; each edge has two ends, so owed counts its
+    weight twice.  The empty H stands for K_n: C(n, 4) crossings and every
+    offset in every pattern.
+    """
+    if not complement:
+        return d, (0,) * (n * n), tuple(range(0, 2 * n, 2)), 0, 0
+    weight = [0] * (n * n)
+    for a, b in combinations(range(n), 2):
+        weight[a * n + b] = (b - a - 1) * (n - b + a - 1)
+    step = tuple(2 * r + c for r, c in enumerate(sorted(weight[1:n])))
+    # offsets 1..n-1 are key bits n-2..0, in each of the 2n rows
+    rows = (1 << n - 1) - 1
+    keys = sum(rows << row * n for row in range(2 * n))
+    return n - 1 - d, tuple(weight), step, comb(n, 4), keys
 
 
 @lru_cache(maxsize=None)

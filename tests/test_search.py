@@ -9,6 +9,8 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxcross.cli import main
 from maxcross.constructions import ConvexOrder, crossings_convex, interleave_masks
@@ -21,12 +23,14 @@ from maxcross.graph import (
     enumerate_labeled_regular,
     feasible,
     lex_fill,
+    make_complete,
     shard_prefixes,
 )
 from maxcross.search import (
     REFERENCE_VALUES,
     _pool_size,
     _search_shard,
+    _searches_complement,
     convex_max,
     load_shard_checkpoint,
     perturbation_probe,
@@ -36,6 +40,7 @@ from maxcross.search import (
     write_shard_checkpoint,
 )
 from reference import (
+    complement_prune_decision,
     dihedral_relabelings,
     keeps_dihedral_representative,
     prune_decision,
@@ -130,7 +135,7 @@ class TestConvexMax:
                 result = convex_max(n, d)
                 assert (result.max_crossings, result.witness.edges) == (best, first), (n, d)
 
-    @pytest.mark.parametrize("n,d", [(7, 4), (8, 2), (8, 3), (8, 4), (8, 6)])
+    @pytest.mark.parametrize("n,d", [(6, 4), (7, 4), (8, 2), (8, 3), (8, 4), (8, 5), (8, 6)])
     def test_every_shard_matches_brute_force(self, n, d, monkeypatch):
         # with floor 0 nothing but the bound and the dihedral test prunes, so a
         # bound that is too tight anywhere shows as a wrong shard maximum or
@@ -319,11 +324,13 @@ class TestConvexMax:
             assert capsys.readouterr().out == expected, (n, d)
 
     @pytest.mark.parametrize(
-        "n,d,calls,cuts", [(8, 4, 240, 115), (9, 6, 2006, 649), (10, 6, 31738, 12260)]
+        "n,d,calls,cuts",
+        [(8, 4, 240, 115), (9, 6, 205, 168), (10, 6, 31738, 12260), (11, 8, 492, 422)],
     )
     def test_pruning_work_is_pinned(self, n, d, calls, cuts, monkeypatch):
         # nodes offered to the prune hook and nodes it cut, shard roots and
-        # leaves included; a change to the bound or the node step shows here first
+        # leaves included; a change to the bound or the node step shows here
+        # first.  (9, 6) and (11, 8) search the complement
         counts = _count_prune_calls(monkeypatch)
         convex_max(n, d, long_run=True)
         assert counts == [calls, cuts]
@@ -336,6 +343,108 @@ class TestConvexMax:
         result = convex_max(5, 2)
         assert result.mode == "convex-exhaustive"
         assert result.elapsed >= 0
+
+
+class TestComplementSearch:
+    def test_cells_that_search_the_complement(self):
+        # the rule 0 < n - 1 - d < d / 2, on every feasible cell with n <= 12
+        cells = [
+            (n, d)
+            for n in range(4, 13)
+            for d in range(2, n)
+            if n * d % 2 == 0 and _searches_complement(n, d)
+        ]
+        assert cells == [
+            (6, 4), (8, 5), (8, 6), (9, 6), (10, 7),
+            (10, 8), (11, 8), (12, 8), (12, 9), (12, 10),
+        ]
+
+    @given(st.integers(4, 12), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_crossings_through_the_complement(self, n, data):
+        # cr(G) = C(n, 4) - sum of c(e) over the edges e of H = K_n - G, plus
+        # cr(H), where c(e) = (k - 1)(n - k - 1) counts the chords of K_n
+        # that cross a chord e spanning k = b - a steps
+        d = data.draw(st.sampled_from([d for d in range(2, n - 1) if n * d % 2 == 0]))
+        graph = sample_regular_graph(n, d, random.Random(data.draw(st.integers(0, 2**32))))
+        complement = graph.complement()
+        order = ConvexOrder.identity(n)
+        crossed = crossings_convex(make_complete(n), order).per_edge
+        weight = 0
+        for a, b in complement.edges:
+            k = b - a
+            assert crossed[a, b] == (k - 1) * (n - k - 1), (a, b)
+            weight += crossed[a, b]
+        total = crossings_convex(graph, order).total
+        assert total == math.comb(n, 4) - weight + crossings_convex(complement, order).total
+
+    @pytest.mark.parametrize("n,d", [(8, 4), (8, 5), (8, 6)])
+    def test_hook_matches_reference(self, n, d, monkeypatch):
+        # the hook walks H = K_n - G; its cut at every node must equal the
+        # decision rebuilt from the definitions, with best the largest kept
+        # G so far.  At a complete H the cut is G's dihedral verdict or its
+        # count below best, and with best at the lower bound the second cuts.
+        # (8, 4) is forced into H: its degree 3 there makes the owed weight
+        # positive, while up to 2 free stubs the cheapest edges, the sides
+        # (0, 1) and (0, n - 1), weigh 0
+        import maxcross.search as search
+
+        monkeypatch.setattr(search, "_searches_complement", lambda n, d: True)
+        original = search.lex_fill
+        order = ConvexOrder.identity(n)
+        spare = n - 1 - d
+        m = n * spare // 2
+        decisions = Counter()
+        leaves = Counter()
+        for floor in (0, best_known(n, d).lower):
+            for prefix in shard_prefixes(n, d):
+                best = floor
+
+                def spy(n_, d_, prefix_, prune):
+                    assert (n_, d_) == (n, spare)
+
+                    def check(stack, remaining):
+                        cut = prune(stack, remaining)
+                        expected = complement_prune_decision(n, d, stack, remaining, best)
+                        assert cut == expected, (stack, remaining, best)
+                        decisions[cut] += 1
+                        if len(stack) == m:
+                            graph = RegularGraph(n, spare, tuple(stack)).complement()
+                            kept = keeps_dihedral_representative(graph)
+                            below = crossings_convex(graph, order).total < best
+                            assert cut == (not kept or below), stack
+                            leaves[kept, below] += 1
+                        return cut
+
+                    nonlocal best
+                    for edges in original(n_, d_, prefix_, check):
+                        graph = RegularGraph(n, spare, edges).complement()
+                        best = max(best, crossings_convex(graph, order).total)
+                        yield edges
+
+                monkeypatch.setattr(search, "lex_fill", spy)
+                assert _search_shard(n, d, prefix, floor)[0] == best
+        assert decisions[True] and decisions[False]
+        assert leaves[True, True] and leaves[True, False] and leaves[False, False]
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (7, 4), (8, 2), (8, 4), (8, 5)])
+    def test_both_spaces_give_every_shard_the_same_outcome(self, n, d, monkeypatch):
+        # a shard searched in G or in H must give the same best and witness
+        # at floor 0, and at the lower bound, the maximum of these cells, the
+        # same examined count too: the kept graphs that attain it
+        import maxcross.search as search
+
+        for floor in (0, best_known(n, d).lower):
+            outcomes = []
+            for complement in (False, True):
+                monkeypatch.setattr(
+                    search, "_searches_complement", lambda n, d, c=complement: c
+                )
+                outcomes.append([_search_shard(n, d, p, floor) for p in shard_prefixes(n, d)])
+            if floor:
+                assert outcomes[0] == outcomes[1]
+            else:
+                assert [o[:2] for o in outcomes[0]] == [o[:2] for o in outcomes[1]]
 
 
 class TestWitnessStructure:
