@@ -24,7 +24,7 @@ from .geometry import (
     drawing_to_text,
     load_drawing,
 )
-from .graph import Edge
+from .graph import Edge, write_utf8
 from .search import SearchResult, convex_max, perturbation_probe, reproduce_table
 
 
@@ -112,8 +112,7 @@ def _write_text(path: Optional[str], text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        write_utf8(path, text)
 
 
 def _parse_edge_list(spec_text: str) -> frozenset[Edge]:

@@ -27,6 +27,14 @@ def _check_degree_range(n: int, d: int, d_max: int) -> None:
         raise ValueError(f"need 2 <= d <= {d_max}, got d={d} for n={n}")
 
 
+def _check_feasible_pair(n: int, d: int) -> None:
+    """Raise ValueError unless n >= 3, 2 <= d <= n - 1 and n * d is even,
+    checked in that order."""
+    _check_degree_range(n, d, n - 1)
+    if n * d % 2:
+        raise ValueError(f"infeasible pair n={n}, d={d}")
+
+
 def exact_odd(n: int, d: int) -> int:
     """Maximum crossing number of n-vertex d-regular graphs, n + d odd.
 
@@ -46,9 +54,7 @@ def upper_bound(n: int, d: int) -> int:
     thrackle_upper(n, d) - min_noncrossing_pairs(n, d) / 2.  For n + d odd
     it is tight; for n, d both even it exceeds the best known construction.
     """
-    _check_degree_range(n, d, n - 1)
-    if n * d % 2:
-        raise ValueError(f"infeasible pair n={n}, d={d}")
+    _check_feasible_pair(n, d)
     return _exact_div(n * d * (3 * n * d - 2 * d * d - 6 * d + 2), 24, "upper_bound")
 
 
@@ -110,9 +116,7 @@ def thrackle_upper(n: int, d: int) -> int:
     With m = n*d/2 edges, each edge has 2*(d - 1) adjacent partners, so the
     count is m * (m - 2*d + 1) / 2.
     """
-    _check_degree_range(n, d, n - 1)
-    if n * d % 2:
-        raise ValueError(f"infeasible pair n={n}, d={d}")
+    _check_feasible_pair(n, d)
     m = n * d // 2
     return _exact_div(m * (m - 2 * d + 1), 2, "thrackle_upper")
 
@@ -141,9 +145,7 @@ def min_noncrossing_pairs(n: int, d: int) -> int:
     n*d*(d - 1)*(d - 2) / 6, from summing the per-edge accounting weights
     over the worst admissible endpoint-type distribution.
     """
-    _check_degree_range(n, d, n - 1)
-    if n * d % 2:
-        raise ValueError(f"infeasible pair n={n}, d={d}")
+    _check_feasible_pair(n, d)
     return _exact_div(n * d * (d - 1) * (d - 2), 6, "min_noncrossing_pairs")
 
 
@@ -184,9 +186,7 @@ class BoundReport:
 
 def best_known(n: int, d: int) -> BoundReport:
     """Dispatch to the sharpest applicable bounds for (n, d)."""
-    _check_degree_range(n, d, n - 1)
-    if n * d % 2:
-        raise ValueError(f"infeasible pair n={n}, d={d}")
+    _check_feasible_pair(n, d)
     if (n + d) % 2:
         value = exact_odd(n, d)
         return BoundReport(

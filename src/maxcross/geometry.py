@@ -17,7 +17,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegeneracyError
-from .graph import Edge, RegularGraph, read_utf8
+from .graph import Edge, RegularGraph, read_utf8, write_utf8
 
 DRAWING_FORMAT_HEADER = "drawing v1"
 
@@ -274,8 +274,7 @@ def drawing_from_text(text: str) -> GeometricDrawing:
 
 
 def save_drawing(drawing: GeometricDrawing, path, trailer: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(drawing_to_text(drawing, trailer))
+    write_utf8(path, drawing_to_text(drawing, trailer))
 
 
 def load_drawing(path) -> GeometricDrawing:

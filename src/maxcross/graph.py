@@ -312,8 +312,7 @@ def graph_from_text(text: str) -> RegularGraph:
 
 
 def save_graph(graph: RegularGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(graph_to_text(graph))
+    write_utf8(path, graph_to_text(graph))
 
 
 def read_utf8(path, kind: str) -> str:
@@ -324,6 +323,12 @@ def read_utf8(path, kind: str) -> str:
             return handle.read()
         except UnicodeDecodeError as exc:
             raise ValueError(f"{kind} {path}: not UTF-8 text") from exc
+
+
+def write_utf8(path, text: str) -> None:
+    """Write text to a file as UTF-8 with LF line endings on every platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
 
 
 def load_graph(path) -> RegularGraph:

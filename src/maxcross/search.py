@@ -29,8 +29,8 @@ when some shards come from checkpoints written without this test.
 Dense cells are searched through their complement H = K_n - G.  In convex
 position every 4-set of points gives one crossing of K_n, so
 cr(G) = C(n, 4) - (sum of c(e) over the edges e of H) + cr(H), where
-c(e) = (k - 1)(n - k - 1) counts the chords of K_n that cross a chord e
-spanning k = b - a steps.  When H's degree d' = n - 1 - d is positive and
+c(e) counts the chords of K_n that cross the chord e (a row count of the
+interleave masks).  When H's degree d' = n - 1 - d is positive and
 2 d' < d, a shard walks H, which has far fewer edges: a rule on (n, d)
 alone, _searches_complement.  Sorted edge lists of equal length compare by
 the least edge in which they differ, which lies in exactly one of G and H,
@@ -64,7 +64,8 @@ from .errors import ResourceLimitError
 from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
 from .graph import (
-    Edge, RegularGraph, feasible, lex_fill, make_circulant, read_utf8, shard_prefixes
+    Edge, RegularGraph, feasible, lex_fill, make_circulant, make_complete, read_utf8,
+    shard_prefixes, write_utf8,
 )
 
 SEARCH_CAP = 9
@@ -136,12 +137,14 @@ def _search_shard(
     The walk is lex_fill over G, or over its complement H when
     _searches_complement(n, d) (module docstring), from vertex 0's star in
     that space; a complement witness is turned back into G.  Both spaces
-    run the one hook below and differ only in its tables (_space_tables).
-    In H the objective starts at C(n, 4) and each chord subtracts its
-    weight c(e), and a lower bound on the weight still to pay is subtracted
-    in the slack; in G both are 0.  The pattern keys always describe G: in
-    H they start as K_n's and each chord removes its bits, so comparing G's
-    keys is the reversed test on H's.
+    run the one hook below and differ only in its tables (_search_tables),
+    which start both walks from a base graph: the empty graph in G, K_n in
+    H.  The objective starts at the base's crossings, each chord subtracts
+    its weight, the base chords it crosses, and a lower bound on the weight
+    still to pay is subtracted in the slack; in G all three are 0.  The
+    pattern keys always describe G: they start as the base's and each chord
+    XORs its bits in, or out in H, so comparing G's keys is the reversed
+    test on H's.
 
     Every search node, the shard's root and the leaves included, is one call
     of the prune hook, which does the node's whole step itself: it places
@@ -160,15 +163,17 @@ def _search_shard(
     G order, a tie replaces it.  In G no leaf below best is reached, as the
     bound is exact one edge before a leaf; in H the hook cuts one.
     """
-    masks, bits, pattern_bits, starts = _chord_tables(n)
     complement = _searches_complement(n, d)
-    degree, weight, step, value, keys = _space_tables(n, d, complement)
+    masks, bits, pattern_bits, starts, weight, step, value, keys = _search_tables(
+        n, complement
+    )
     if complement:
+        degree = n - 1 - d
         # G's star at 0 fixes H's: the partners G leaves out
         taken = {w for _, w in prefix}
         walk_prefix = tuple((0, w) for w in range(1, n) if w not in taken)
     else:
-        walk_prefix = prefix
+        degree, walk_prefix = d, prefix
     m = n * degree // 2
     full = (1 << n) - 1
     # crossings[k] and placed[k]: the objective (G's crossing count once
@@ -177,7 +182,7 @@ def _search_shard(
     # meet at a vertex, plus each vertex's cheapest weight for its free
     # stubs, so the edges still to place cross each other at most
     # C(left, 2) - (owed[k] + 1) // 2 times more than they weigh;
-    # patterns[k]: every vertex's two G pattern keys (_chord_tables).
+    # patterns[k]: every vertex's two G pattern keys (_search_tables).
     crossings = [value] * (m + 1)
     placed = [0] * (m + 1)
     owed = [0] * (m + 1)
@@ -193,7 +198,7 @@ def _search_shard(
         placed[k] = placed[k - 1] | bits[w]
         patterns[k] = patterns[k - 1] ^ pattern_bits[w]
         owed[k] = owed[k - 1] - step[degree - k] - step[degree - 1]
-    # Vertex 0's forward key, the one to beat (see _chord_tables).
+    # Vertex 0's forward key, the one to beat (see _search_tables).
     own = sum(1 << n - 1 - w for _, w in prefix)
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
@@ -270,48 +275,21 @@ def _search_shard(
             best = current
             witness = edges
     if complement and witness is not None:
-        dropped = set(witness)
-        witness = tuple(e for e in combinations(range(n), 2) if e not in dropped)
+        witness = RegularGraph(n, degree, witness).complement().edges
     return best, witness, examined
 
 
 @lru_cache(maxsize=None)
-def _space_tables(
-    n: int, d: int, complement: bool
-) -> tuple[int, tuple[int, ...], tuple[int, ...], int, int]:
-    """What _search_shard's hook reads for cell (n, d) beyond _chord_tables:
-    (the walk's degree, the weight of each chord at index a * n + b, the step
-    owed drops by when a vertex goes down to r free stubs at index r, the
-    objective and the pattern keys of the empty walk), built once per cell
-    and space per process.
-
-    In G the weights are 0 and step r is 2r, twice the drop of C(r + 1, 2)
-    to C(r, 2).  In H chord (a, b) weighs c(e) = (k - 1)(n - k - 1), k =
-    b - a, the chords of K_n it crosses.  The edges at a vertex have distinct
-    offsets y, so r of them weigh at least the r cheapest c(0, y), and step r
-    adds the (r + 1)-th cheapest; each edge has two ends, so owed counts its
-    weight twice.  The empty H stands for K_n: C(n, 4) crossings and every
-    offset in every pattern.
-    """
-    if not complement:
-        return d, (0,) * (n * n), tuple(range(0, 2 * n, 2)), 0, 0
-    weight = [0] * (n * n)
-    for a, b in combinations(range(n), 2):
-        weight[a * n + b] = (b - a - 1) * (n - b + a - 1)
-    step = tuple(2 * r + c for r, c in enumerate(sorted(weight[1:n])))
-    # offsets 1..n-1 are key bits n-2..0, in each of the 2n rows
-    rows = (1 << n - 1) - 1
-    keys = sum(rows << row * n for row in range(2 * n))
-    return n - 1 - d, tuple(weight), step, comb(n, 4), keys
-
-
-@lru_cache(maxsize=None)
-def _chord_tables(
-    n: int,
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Interleave mask, bit and pattern bits of every chord (a, b) of the
-    n-gon at index a * n + b, and the index of chord (a, a + 1) at index a,
-    built once per n per process; callers only read them.
+def _search_tables(n: int, complement: bool) -> tuple[
+    tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...],
+    tuple[int, ...], tuple[int, ...], int, int,
+]:
+    """What _search_shard's hook reads for the n-gon in one space, built once
+    per n and space per process; callers only read them: the interleave
+    mask, bit, pattern bits and weight of every chord (a, b) at index
+    a * n + b, the index of chord (a, a + 1) at index a, the step owed drops
+    by when a vertex goes down to r free stubs at index r, and the objective
+    and the pattern keys of the empty walk.
 
     Chord i of combinations(range(n), 2) is bit i of a chord set, so the
     chords (a, a + 1), ..., (a, n - 1) are consecutive bits.  A pattern, a
@@ -320,9 +298,20 @@ def _chord_tables(
     lexicographically smaller tuple has the larger key.  The keys of vertex
     v's forward and backward patterns sit in n-bit rows 2v and 2v + 1 of one
     integer, and a chord's pattern bits are its share of those four rows, so
-    OR-ing the bits of a graph's chords gives every vertex's two keys.
+    XOR-ing the bits of a graph's chords gives every vertex's two keys.
+
+    Both spaces walk from a base graph whose crossings and keys the empty
+    walk holds: the empty graph in G, K_n in H, whose walk removes H's
+    chords.  A chord weighs the base chords it crosses, 0 in G and c(e) in
+    H, and the objective starts at half the sum of the weights.  The edges
+    at a vertex have distinct offsets y, so r of them weigh at least the r
+    cheapest weights of the chords (0, y), and step r is 2r, twice the drop
+    of C(r + 1, 2) to C(r, 2), plus the (r + 1)-th cheapest; each edge has
+    two ends, so owed counts its weight twice.
     """
     chords = list(combinations(range(n), 2))
+    # the base graph's chord set: all of K_n in H, none in G
+    base = ((1 << len(chords)) - 1) * complement
 
     def key(v: int, row: int, offset: int) -> int:
         return 1 << (2 * v + row) * n + n - 1 - offset % n
@@ -330,14 +319,24 @@ def _chord_tables(
     masks = [0] * (n * n)
     bits = [0] * (n * n)
     pattern_bits = [0] * (n * n)
+    weight = [0] * (n * n)
+    keys = 0
     for i, ((a, b), mask) in enumerate(zip(chords, interleave_masks(chords))):
-        masks[a * n + b] = mask
-        bits[a * n + b] = 1 << i
-        pattern_bits[a * n + b] = (
+        j = a * n + b
+        masks[j] = mask
+        bits[j] = 1 << i
+        pattern_bits[j] = (
             key(a, 0, b - a) | key(b, 0, a - b) | key(a, 1, a - b) | key(b, 1, b - a)
         )
+        weight[j] = (mask & base).bit_count()
+        if base >> i & 1:
+            keys ^= pattern_bits[j]
     starts = tuple(a * (2 * n - a - 1) // 2 for a in range(n))
-    return tuple(masks), tuple(bits), tuple(pattern_bits), starts
+    step = tuple(2 * r + c for r, c in enumerate(sorted(weight[1:n])))
+    return (
+        tuple(masks), tuple(bits), tuple(pattern_bits), starts,
+        tuple(weight), step, sum(weight) // 2, keys,
+    )
 
 
 def _checkpoint_path(directory: str, index: int) -> str:
@@ -380,8 +379,7 @@ def write_shard_checkpoint(
         f"witness {_edges_token(witness)}",
     ]
     temporary = path + ".tmp"
-    with open(temporary, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(lines) + "\n")
+    write_utf8(temporary, "\n".join(lines) + "\n")
     os.replace(temporary, path)
 
 
@@ -551,9 +549,7 @@ def sample_regular_graph(n: int, d: int, rng: random.Random) -> RegularGraph:
     if not feasible(n, d):
         raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
     if d == n - 1:
-        return RegularGraph(
-            n, d, tuple((u, v) for u in range(n) for v in range(u + 1, n))
-        )
+        return make_complete(n)
     if n - 1 - d < d:
         return _sample_by_switching(n, n - 1 - d, rng).complement()
     return _sample_by_switching(n, d, rng)

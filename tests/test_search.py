@@ -30,6 +30,7 @@ from maxcross.search import (
     REFERENCE_VALUES,
     _pool_size,
     _search_shard,
+    _search_tables,
     _searches_complement,
     convex_max,
     load_shard_checkpoint,
@@ -377,6 +378,26 @@ class TestComplementSearch:
             weight += crossed[a, b]
         total = crossings_convex(graph, order).total
         assert total == math.comb(n, 4) - weight + crossings_convex(complement, order).total
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_tables_match_the_closed_forms(self, n):
+        # the tables read weights and start values off the interleave masks;
+        # pinned here up to n = 14, past LONG_RUN_CAP.  In H chord (a, b)
+        # crosses c(e) = (k - 1)(n - k - 1) chords of K_n, k = b - a, the
+        # empty walk is K_n with C(n, 4) crossings, and each of the 2n
+        # pattern rows holds every offset 1..n-1, its bits n-2..0
+        closed = {a * n + b: (b - a - 1) * (n - b + a - 1) for a, b in combinations(range(n), 2)}
+        *_, weight, step, value, keys = _search_tables(n, True)
+        assert weight == tuple(closed.get(j, 0) for j in range(n * n))
+        cheapest = sorted(closed[w] for w in range(1, n))
+        assert step == tuple(2 * r + c for r, c in enumerate(cheapest))
+        assert value == math.comb(n, 4)
+        assert keys == sum(((1 << n - 1) - 1) << row * n for row in range(2 * n))
+        # in G the walk starts from the empty graph: nothing to weigh or owe
+        *_, weight, step, value, keys = _search_tables(n, False)
+        assert weight == (0,) * (n * n)
+        assert step == tuple(2 * r for r in range(n - 1))
+        assert (value, keys) == (0, 0)
 
     @pytest.mark.parametrize("n,d", [(8, 4), (8, 5), (8, 6)])
     def test_hook_matches_reference(self, n, d, monkeypatch):
