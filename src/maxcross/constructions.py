@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import ConstructionError, ResourceLimitError
 from .geometry import CrossingReport, GeometricDrawing, Point, point
-from .graph import Edge, RegularGraph, make_circulant
+from .graph import Edge, RegularGraph, feasible, make_circulant
 
 __all__ = [
     "ConvexOrder",
@@ -107,8 +107,7 @@ def generalized_star(n: int, d: int) -> GeometricDrawing:
     """
     if n > CONSTRUCTION_CAP:
         raise ResourceLimitError(f"n={n} exceeds construction cap {CONSTRUCTION_CAP}")
-    if not 2 <= d <= n - 1:
-        raise ValueError(f"need 2 <= d <= n-1, got d={d} for n={n}")
+    feasible(n, d)  # the range; n + d odd makes n * d even
     if (n + d) % 2 == 0:
         raise ValueError(f"generalized star needs n + d odd, got ({n}, {d})")
     k = construction_params(n, d).k

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, gcd
 
+from .graph import feasible, require_feasible
+
 
 def _exact_div(numerator: int, denominator: int, what: str) -> int:
     quotient, remainder = divmod(numerator, denominator)
@@ -20,28 +22,13 @@ def _exact_div(numerator: int, denominator: int, what: str) -> int:
     return quotient
 
 
-def _check_degree_range(n: int, d: int, d_max: int) -> None:
-    if n < 3:
-        raise ValueError(f"need n >= 3, got n={n}")
-    if not 2 <= d <= d_max:
-        raise ValueError(f"need 2 <= d <= {d_max}, got d={d} for n={n}")
-
-
-def _check_feasible_pair(n: int, d: int) -> None:
-    """Raise ValueError unless n >= 3, 2 <= d <= n - 1 and n * d is even,
-    checked in that order."""
-    _check_degree_range(n, d, n - 1)
-    if n * d % 2:
-        raise ValueError(f"infeasible pair n={n}, d={d}")
-
-
 def exact_odd(n: int, d: int) -> int:
     """Maximum crossing number of n-vertex d-regular graphs, n + d odd.
 
     Equals n*d*(3*n*d - 2*d^2 - 6*d + 2) / 24, attained by the generalized
     star drawing and matched by the pair-accounting upper bound.
     """
-    _check_degree_range(n, d, n - 1)
+    feasible(n, d)  # the range; n + d odd makes n * d even
     if (n + d) % 2 == 0:
         raise ValueError(f"need n + d odd, got n={n}, d={d}")
     return upper_bound(n, d)
@@ -54,7 +41,7 @@ def upper_bound(n: int, d: int) -> int:
     thrackle_upper(n, d) - min_noncrossing_pairs(n, d) / 2.  For n + d odd
     it is tight; for n, d both even it exceeds the best known construction.
     """
-    _check_feasible_pair(n, d)
+    require_feasible(n, d)
     return _exact_div(n * d * (3 * n * d - 2 * d * d - 6 * d + 2), 24, "upper_bound")
 
 
@@ -65,7 +52,7 @@ def lower_bound_even(n: int, d: int) -> int:
     for k = (n - d)/2, the cycle-pairing construction costs an extra
     gcd(n, k)*(2*d - 3) / 4, folded into one exact division.
     """
-    _check_degree_range(n, d, n - 2)
+    feasible(n, d)  # the range; with n and d both even, d <= n - 2
     if n % 2 or d % 2:
         raise ValueError(f"need n and d even, got n={n}, d={d}")
     k = (n - d) // 2
@@ -116,7 +103,7 @@ def thrackle_upper(n: int, d: int) -> int:
     With m = n*d/2 edges, each edge has 2*(d - 1) adjacent partners, so the
     count is m * (m - 2*d + 1) / 2.
     """
-    _check_feasible_pair(n, d)
+    require_feasible(n, d)
     m = n * d // 2
     return _exact_div(m * (m - 2 * d + 1), 2, "thrackle_upper")
 
@@ -145,7 +132,7 @@ def min_noncrossing_pairs(n: int, d: int) -> int:
     n*d*(d - 1)*(d - 2) / 6, from summing the per-edge accounting weights
     over the worst admissible endpoint-type distribution.
     """
-    _check_feasible_pair(n, d)
+    require_feasible(n, d)
     return _exact_div(n * d * (d - 1) * (d - 2), 6, "min_noncrossing_pairs")
 
 
@@ -186,7 +173,7 @@ class BoundReport:
 
 def best_known(n: int, d: int) -> BoundReport:
     """Dispatch to the sharpest applicable bounds for (n, d)."""
-    _check_feasible_pair(n, d)
+    require_feasible(n, d)
     if (n + d) % 2:
         value = exact_odd(n, d)
         return BoundReport(

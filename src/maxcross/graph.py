@@ -24,14 +24,22 @@ GRAPH_FORMAT_HEADER = "regular-graph v1"
 def feasible(n: int, d: int) -> bool:
     """True when an n-vertex d-regular graph exists, i.e. n*d is even.
 
-    The degree range of interest is 2 <= d <= n-1; anything outside it is
-    rejected as an argument error rather than reported as infeasible.
+    The one statement of which (n, d) cells exist.  The degree range of
+    interest is 2 <= d <= n-1; anything outside it is rejected as an
+    argument error rather than reported as infeasible.  require_feasible is
+    its raising form, for callers that need a graph to exist.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
     if not 2 <= d <= n - 1:
         raise ValueError(f"need 2 <= d <= n-1, got d={d} for n={n}")
     return n * d % 2 == 0
+
+
+def require_feasible(n: int, d: int) -> None:
+    """Raise ValueError unless feasible(n, d): out of range, or no graph."""
+    if not feasible(n, d):
+        raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,7 @@ class RegularGraph:
         if not 1 <= self.d <= self.n - 1:
             raise ValueError(f"degree {self.d} out of range for n={self.n}")
         if self.n * self.d % 2:
-            raise ValueError(f"infeasible pair n={self.n}, d={self.d}")
+            raise ValueError(f"no d-regular graph exists for n={self.n}, d={self.d}")
         if len(self.edges) != self.n * self.d // 2:
             raise ValueError(
                 f"expected {self.n * self.d // 2} edges, got {len(self.edges)}"
@@ -164,7 +172,7 @@ def shard_prefixes(n: int, d: int) -> list[tuple[Edge, ...]]:
     whose concatenation in prefix order reproduces the full lexicographic
     enumeration.
     """
-    feasible(n, d)
+    require_feasible(n, d)
     return [
         tuple((0, w) for w in combo) for combo in combinations(range(1, n), d)
     ]

@@ -65,7 +65,7 @@ from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
 from .graph import (
     Edge, RegularGraph, feasible, lex_fill, make_circulant, make_complete, read_utf8,
-    shard_prefixes, write_utf8,
+    require_feasible, shard_prefixes, write_utf8,
 )
 
 SEARCH_CAP = 9
@@ -402,15 +402,15 @@ def load_shard_checkpoint(
     parse.
     """
     lines = read_utf8(path, "checkpoint").splitlines()
+    fail = f"checkpoint {path}: "
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError(f"missing '{CHECKPOINT_HEADER}' header in {path}")
+        raise ValueError(fail + f"missing '{CHECKPOINT_HEADER}' header")
     # key -> value of every non-blank line; a repeated key keeps its last value
     fields = dict(line.partition(" ")[::2] for line in lines[1:] if line.strip())
-    fail = f"checkpoint {path}: "
 
     def field(name: str, parse: Callable[[str], Any]) -> Any:
         if name not in fields:
-            raise ValueError(f"checkpoint {path} is missing field '{name}'")
+            raise ValueError(fail + f"missing field '{name}'")
         try:
             return parse(fields[name])
         except ValueError as exc:
@@ -478,8 +478,6 @@ def convex_max(
             f"n={n} exceeds search cap {effective_cap}"
             + ("" if long_run else f" (long-run mode raises the cap to {LONG_RUN_CAP})")
         )
-    if not feasible(n, d):
-        raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
     started = time.perf_counter()
     bounds = best_known(n, d)
     floor = bounds.lower
@@ -546,8 +544,7 @@ def sample_regular_graph(n: int, d: int, rng: random.Random) -> RegularGraph:
     result is close to uniform, not exactly uniform.  Dense degrees are
     sampled through the complement, which keeps the chain short.
     """
-    if not feasible(n, d):
-        raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
+    require_feasible(n, d)
     if d == n - 1:
         return make_complete(n)
     if n - 1 - d < d:
@@ -642,8 +639,7 @@ def perturbation_probe(n: int, d: int, trials: int, seed: int) -> SearchResult:
     """
     if n > PROBE_CAP:
         raise ResourceLimitError(f"n={n} exceeds probe cap {PROBE_CAP}")
-    if not feasible(n, d):
-        raise ValueError(f"no d-regular graph exists for n={n}, d={d}")
+    require_feasible(n, d)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     started = time.perf_counter()
@@ -704,7 +700,7 @@ def reproduce_table(max_n: int) -> list[TableEntry]:
     entries = []
     for n in range(4, max_n + 1):
         for d in range(2, n):
-            if n * d % 2:
+            if not feasible(n, d):
                 continue
             report = best_known(n, d)
             value = report.lower

@@ -13,9 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxcross.cli import main
-from maxcross.constructions import ConvexOrder, crossings_convex, interleave_masks
+from maxcross.constructions import (
+    ConvexOrder,
+    crossings_convex,
+    generalized_star,
+    interleave_masks,
+)
 from maxcross.errors import ResourceLimitError
-from maxcross.formulas import best_known, exact_odd, exact_r_n_2_even, lower_bound_even
+from maxcross.formulas import (
+    best_known,
+    exact_odd,
+    exact_r_n_2_even,
+    lower_bound_even,
+    min_noncrossing_pairs,
+    thrackle_upper,
+    upper_bound,
+)
 from maxcross.geometry import count_crossings_geometric
 from maxcross.graph import (
     RegularGraph,
@@ -515,6 +528,18 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match="header"):
             load_shard_checkpoint(str(path), _real_shard(0)[0], 7, 7)
 
+    @pytest.mark.parametrize(
+        "text, reason",
+        [("ckpt v2\nn 6\n", "missing 'ckpt v1' header"), ("ckpt v1\n", "missing field 'n'")],
+    )
+    def test_rejection_text_shape(self, tmp_path, text, reason):
+        # every checkpoint error reads "checkpoint <path>: <reason>"
+        path = tmp_path / "shard-0.ckpt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as caught:
+            load_shard_checkpoint(str(path), _real_shard(0)[0], 7, 7)
+        assert str(caught.value) == f"checkpoint {path}: {reason}"
+
     def test_resume_after_partial_run(self, tmp_path):
         full = convex_max(6, 4)
         first = convex_max(6, 4, checkpoint_dir=str(tmp_path))
@@ -898,6 +923,56 @@ class TestReproduceTable:
             reproduce_table(3)
         with pytest.raises(ValueError):
             reproduce_table(11)
+
+
+# The one error text of each cell outside R_{n,d}: no graph, or out of range.
+NO_GRAPH_TEXTS = {
+    (5, 3): "no d-regular graph exists for n=5, d=3",
+    (2, 2): "need n >= 3, got n=2",
+    (6, 1): "need 2 <= d <= n-1, got d=1 for n=6",
+    (6, 6): "need 2 <= d <= n-1, got d=6 for n=6",
+}
+# Entry points that need a graph to exist.
+NEEDS_A_GRAPH = {
+    "convex_max": convex_max,
+    "perturbation_probe": lambda n, d: perturbation_probe(n, d, 1, 0),
+    "sample_regular_graph": lambda n, d: sample_regular_graph(n, d, random.Random(0)),
+    "best_known": best_known,
+    "upper_bound": upper_bound,
+    "thrackle_upper": thrackle_upper,
+    "min_noncrossing_pairs": min_noncrossing_pairs,
+    "shard_prefixes": shard_prefixes,
+}
+# Entry points with a case check of their own, which rejects (5, 3) in its
+# own words; they share only the range texts.
+OWN_CASE_CHECK = {
+    "exact_odd": exact_odd,
+    "lower_bound_even": lower_bound_even,
+    "generalized_star": generalized_star,
+}
+
+
+class TestNoGraphCells:
+    @pytest.mark.parametrize("n, d", sorted(NO_GRAPH_TEXTS))
+    @pytest.mark.parametrize("name", sorted(NEEDS_A_GRAPH))
+    def test_one_text_per_cell(self, name, n, d):
+        with pytest.raises(ValueError) as caught:
+            NEEDS_A_GRAPH[name](n, d)
+        assert str(caught.value) == NO_GRAPH_TEXTS[(n, d)]
+
+    @pytest.mark.parametrize("n, d", [(2, 2), (6, 1), (6, 6)])
+    @pytest.mark.parametrize("name", sorted(OWN_CASE_CHECK))
+    def test_one_range_text(self, name, n, d):
+        with pytest.raises(ValueError) as caught:
+            OWN_CASE_CHECK[name](n, d)
+        assert str(caught.value) == NO_GRAPH_TEXTS[(n, d)]
+
+    @pytest.mark.parametrize("command", ["search", "formula"])
+    def test_one_error_line_on_stderr(self, capsys, command):
+        assert main([command, "--n", "5", "--d", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: no d-regular graph exists for n=5, d=3\n"
 
 
 class TestOracleConfirmsFormulas:
