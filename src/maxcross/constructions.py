@@ -76,14 +76,13 @@ class ConstructionParams:
 
 def construction_params(n: int, d: int) -> ConstructionParams:
     """k is the shortest kept diagonal length; g = gcd(n, k)."""
+    feasible(n, d)  # the range, which makes k >= 1
     if (n + d) % 2:
         k = (n - d + 1) // 2
     else:
         if n % 2 or d % 2:
             raise ValueError(f"n + d even requires n, d both even, got ({n}, {d})")
         k = (n - d) // 2
-    if k < 1:
-        raise ValueError(f"degree {d} too large for n={n}")
     return ConstructionParams(n, d, k, gcd(n, k))
 
 
@@ -160,10 +159,9 @@ def star_like_deletion(n: int, d: int) -> tuple[GeometricDrawing, frozenset[Edge
     the covered vertex stay, their neighbors go, and the stretch between
     the removed neighbors loses every second edge.
     """
+    feasible(n, d)  # the range; with n and d both even, d <= n - 1 means d <= n - 2
     if n % 2 or d % 2:
         raise ValueError(f"star-like drawing needs n, d even, got ({n}, {d})")
-    if not 2 <= d <= n - 2:
-        raise ValueError(f"need 2 <= d <= n-2, got d={d} for n={n}")
     params = construction_params(n, d)
     k, g = params.k, params.g
     base = generalized_star(n, d + 1)

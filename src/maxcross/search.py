@@ -57,7 +57,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations
 from math import comb
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .constructions import ConvexOrder, crossings_convex, interleave_masks
 from .errors import ResourceLimitError
@@ -75,6 +75,12 @@ PROBE_CAP = 100
 # leaves a visible bias in the triangle counts of cubic graphs on 8 vertices.
 SWITCHES_PER_EDGE = 10
 CHECKPOINT_HEADER = "ckpt v1"
+# Seconds a convex_max call searches in-process before it may start workers.
+# Starting and terminating a two-worker pool costs about 10 ms on a 2-core
+# machine: a search that ends sooner than this never pays it, and a longer
+# one at 2 workers ends at most about half of this later than a pool
+# started at once would have.
+POOL_AFTER_S = 0.025
 
 MODE_CONVEX = "convex-exhaustive"
 MODE_PERTURBATION = "perturbation"
@@ -471,6 +477,16 @@ def convex_max(
     before any search starts, and their shards are not searched again; each
     searched shard is written as it is merged, in index order, so an
     interrupted run keeps every shard before the first unfinished one.
+
+    Shards are searched in-process, in index order, until the call has run
+    for POOL_AFTER_S seconds.  Only then, and only if _pool_size(workers,
+    shards left) > 1, does it start one pool and hand it every shard still
+    to search; so a run that ends sooner never pays for starting workers,
+    and the in-process phase overruns POOL_AFTER_S by at most one shard.
+    The rule reads elapsed time alone, never the cell.  Worst case: a
+    search only a little longer than POOL_AFTER_S finishes about
+    POOL_AFTER_S / 2 later at 2 workers than had it used the pool from the
+    start.  Raises ValueError for workers < 1.
     """
     effective_cap = LONG_RUN_CAP if long_run else SEARCH_CAP
     if n > effective_cap:
@@ -480,6 +496,8 @@ def convex_max(
         )
     started = time.perf_counter()
     bounds = best_known(n, d)
+    if workers < 1:
+        raise ValueError(f"need workers >= 1, got {workers}")
     floor = bounds.lower
     # A star whose backward pattern beats its forward one holds no kept graph.
     shards = [
@@ -498,21 +516,25 @@ def convex_max(
 
     todo = [prefix for index, prefix in shards if index not in loaded]
     search = partial(_search_shard, n, d, floor=floor)
-    size = _pool_size(workers, len(todo))
+    searched = 0
+    computed: Optional[Iterator[tuple[int, Optional[tuple[Edge, ...]], int]]] = None
     best_value = -1
     best_witness: Optional[tuple[Edge, ...]] = None
     examined_total = 0
     # Ctrl-C interrupts the parent alone; leaving the block terminates the workers.
-    with (
-        multiprocessing.Pool(size, signal.signal, (signal.SIGINT, signal.SIG_IGN))
-        if size > 1
-        else contextlib.nullcontext()
-    ) as pool:
-        computed = pool.imap(search, todo, chunksize=1) if pool else map(search, todo)
+    with contextlib.ExitStack() as open_pool:
         for index, prefix in shards:
             outcome = loaded.get(index)
             if outcome is None:
-                outcome = next(computed)
+                if computed is None and time.perf_counter() - started >= POOL_AFTER_S:
+                    size = _pool_size(workers, len(todo) - searched)
+                    if size > 1:
+                        pool = open_pool.enter_context(multiprocessing.Pool(
+                            size, signal.signal, (signal.SIGINT, signal.SIG_IGN)
+                        ))
+                        computed = pool.imap(search, todo[searched:], chunksize=1)
+                outcome = search(prefix) if computed is None else next(computed)
+                searched += 1
                 if checkpoint_dir is not None:
                     path = _checkpoint_path(checkpoint_dir, index)
                     write_shard_checkpoint(path, (n, d, index, prefix), outcome)

@@ -244,6 +244,21 @@ class TestExitCodes:
         assert run_cli(capsys, "table", "--max-n", "3")[0] == 2
         assert run_cli(capsys, "count", "/nonexistent/path.drw")[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("search", "--n", "7", "--d", "4", "--workers", "-1"), "need workers >= 1, got -1"),
+            (("search", "--n", "7", "--d", "4", "--workers", "0"), "need workers >= 1, got 0"),
+            (("construct", "starlike", "--n", "2", "--d", "2"), "need n >= 3, got n=2"),
+            (
+                ("construct", "starlike", "--n", "6", "--d", "8"),
+                "need 2 <= d <= n-1, got d=8 for n=6",
+            ),
+        ],
+    )
+    def test_argument_error_line(self, capsys, argv, line):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+
     def test_probe_cap(self, capsys):
         argv = ("search", "--mode", "probe", "--n", str(PROBE_CAP + 1), "--d", "4")
         code, out, err = run_cli(capsys, *argv)

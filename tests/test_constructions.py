@@ -62,6 +62,10 @@ class TestParams:
         with pytest.raises(ValueError):
             construction_params(9, 3)
 
+    def test_degree_range_rejected(self):
+        with pytest.raises(ValueError, match=r"^need 2 <= d <= n-1, got d=8 for n=6$"):
+            construction_params(6, 8)
+
     def test_gcd_field(self):
         params = construction_params(12, 4)
         assert params.k == 4 and params.g == gcd(12, 4)

@@ -2,11 +2,14 @@
 
 import functools
 import math
+import multiprocessing
 import os
 import random
+import shutil
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -283,11 +286,16 @@ class TestConvexMax:
         assert decisions[True] and decisions[False]
         assert leaves[True] and leaves[False]
 
-    def test_determinism_across_workers(self):
-        runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
-        baseline = (runs[0].max_crossings, runs[0].witness, runs[0].graphs_examined)
-        for result in runs[1:]:
-            assert (result.max_crossings, result.witness, result.graphs_examined) == baseline
+    def test_determinism_across_workers(self, monkeypatch):
+        import maxcross.search as search
+
+        # at the default (7, 4) ends in-process; at 0 the pool searches every shard
+        for pool_after in (search.POOL_AFTER_S, 0):
+            monkeypatch.setattr(search, "POOL_AFTER_S", pool_after)
+            runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
+            baseline = (runs[0].max_crossings, runs[0].witness, runs[0].graphs_examined)
+            for result in runs[1:]:
+                assert (result.max_crossings, result.witness, result.graphs_examined) == baseline
 
     def test_matches_closed_forms_through_n7(self):
         for n in range(4, 8):
@@ -497,6 +505,71 @@ def _real_shard(index):
     n, d = 6, 2
     prefix = shard_prefixes(n, d)[index]
     return (n, d, index, prefix), _search_shard(n, d, prefix, best_known(n, d).lower)
+
+
+class TestShardScheduling:
+    """convex_max searches in-process until POOL_AFTER_S, then hands the
+    shards left to one pool."""
+
+    @pytest.mark.parametrize("n, d", [(7, 4), (10, 3)])
+    def test_short_run_starts_no_pool(self, n, d, monkeypatch):
+        # both cells end in a few milliseconds, far below POOL_AFTER_S
+        def refuse(*args):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", refuse)
+        result = convex_max(n, d, workers=2, long_run=True)
+        monkeypatch.undo()
+        single = convex_max(n, d, long_run=True)
+        assert (result.max_crossings, result.witness, result.graphs_examined) == (
+            single.max_crossings, single.witness, single.graphs_examined
+        )
+
+    @pytest.mark.parametrize("k", [1, 6])
+    @pytest.mark.parametrize("resume", [False, True])
+    def test_pool_takes_over_at_the_threshold(self, k, resume, tmp_path, monkeypatch):
+        import maxcross.search as search
+
+        single_dir, run_dir = tmp_path / "single", tmp_path / "run"
+        single = convex_max(9, 4, checkpoint_dir=str(single_dir))
+        names = sorted(os.listdir(single_dir))
+        run_dir.mkdir()
+        if resume:
+            for name in names[::3]:
+                shutil.copy(single_dir / name, run_dir / name)
+        loaded = len(os.listdir(run_dir))
+
+        # the clock crosses POOL_AFTER_S once k shards searched in-process are written
+        def clock():
+            written = len(os.listdir(run_dir)) - loaded
+            return search.POOL_AFTER_S if written >= k else 0.0
+
+        handed = []
+        real_pool = multiprocessing.Pool
+
+        def recording_pool(*args):
+            pool = real_pool(*args)
+            imap = pool.imap
+
+            def recording_imap(func, tasks, chunksize=1):
+                handed.append(len(tasks))
+                return imap(func, tasks, chunksize)
+
+            pool.imap = recording_imap
+            return pool
+
+        monkeypatch.setattr(search, "time", SimpleNamespace(perf_counter=clock))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+        result = convex_max(9, 4, workers=2, checkpoint_dir=str(run_dir))
+        assert handed == [len(names) - loaded - k]
+        assert (result.max_crossings, result.witness, result.graphs_examined) == (
+            single.max_crossings, single.witness, single.graphs_examined
+        )
+        assert sorted(os.listdir(run_dir)) == names
+        for name in names:
+            assert (run_dir / name).read_bytes() == (single_dir / name).read_bytes(), name
 
 
 class TestCheckpoints:
