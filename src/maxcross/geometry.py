@@ -2,8 +2,9 @@
 
 Every decision is the sign of an exact cross product; no floating point
 enters.  `orientation` and `segments_cross` decide on rational coordinates.
-The kernel clears a drawing's denominators once (its `grid`), checks general
-position once on those ints and reads crossings and types off one side table.
+The kernel clears a drawing's denominators once, each axis by its own lcm
+(its `grid`), checks general position once on those ints and reads
+crossings and types off one side table.
 """
 
 from __future__ import annotations
@@ -88,13 +89,18 @@ class GeometricDrawing:
 
     @cached_property
     def grid(self) -> tuple[Point, ...]:
-        """Positions times the lcm of their denominators: int Points with the
-        same orientation signs.  Non-rational coordinates raise ValueError."""
+        """Int Points: x times the lcm a of the x denominators, y times the
+        lcm b of the y denominators.  (x, y) -> (a x, b y) multiplies every
+        cross product by a b > 0, so each orientation sign, collinear triple
+        and coincident pair is kept, on smaller ints than one common scale.
+        Non-rational coordinates raise ValueError."""
         for c in (c for p in self.positions for c in p):
             if not isinstance(c, numbers.Rational):
                 raise ValueError(f"coordinate {c!r} is not rational")
-        scale = math.lcm(*(c.denominator for p in self.positions for c in p))
-        return tuple(Point(*(c.numerator * (scale // c.denominator) for c in p))
+        a = math.lcm(*(p.x.denominator for p in self.positions))
+        b = math.lcm(*(p.y.denominator for p in self.positions))
+        return tuple(Point(p.x.numerator * (a // p.x.denominator),
+                           p.y.numerator * (b // p.y.denominator))
                      for p in self.positions)
 
     @cached_property
@@ -153,27 +159,34 @@ def side_table(pts: Sequence[tuple[int, int]], edges: Sequence[Edge]) -> SideTab
     Non-adjacent edges cross iff each has its endpoints on opposite sides of
     the other's line; in O(n m) steps, straddle[i] marks the edges with one
     endpoint left of line i, left_of[u] ^ left_of[v] those separating u, v.
+    With (dx, dy) = v - u, w is left of u -> v iff dx (y_w - y_u) exceeds
+    dy (x_w - x_u), that is iff dx y_w - dy x_w exceeds the edge's constant
+    dx y_u - dy x_u: an exact rearrangement, one comparison per vertex.
     """
     n = len(pts)
+    xs, ys = zip(*pts)
     incident = [0] * n
     for j, (u, v) in enumerate(edges):
-        incident[u] |= 1 << j
-        incident[v] |= 1 << j
+        bit = 1 << j
+        incident[u] |= bit
+        incident[v] |= bit
     left_of = [0] * n
     left, straddle = [], []
     for i, (u, v) in enumerate(edges):
-        ux, uy = pts[u]
-        dx, dy = pts[v][0] - ux, pts[v][1] - uy
+        ux, uy = xs[u], ys[u]
+        dx, dy = xs[v] - ux, ys[v] - uy
+        c = dx * uy - dy * ux
+        bit = 1 << i
         vertices = crossed = 0
-        for w, (px, py) in enumerate(pts):
-            if dx * (py - uy) > dy * (px - ux):
+        for w in range(n):
+            if dx * ys[w] - dy * xs[w] > c:
                 vertices |= 1 << w
                 crossed ^= incident[w]
-                left_of[w] |= 1 << i
+                left_of[w] |= bit
         left.append(vertices)
         straddle.append(crossed & ~(incident[u] | incident[v]))
-    crossings = tuple((s & (left_of[u] ^ left_of[v])).bit_count()
-                      for s, (u, v) in zip(straddle, edges))
+    crossings = tuple([(s & (left_of[u] ^ left_of[v])).bit_count()
+                       for s, (u, v) in zip(straddle, edges)])
     return SideTable(tuple(left), crossings)
 
 

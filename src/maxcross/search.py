@@ -48,7 +48,6 @@ checkpoints and results stay in G terms.
 from __future__ import annotations
 
 import contextlib
-import multiprocessing
 import os
 import random
 import signal
@@ -529,6 +528,8 @@ def convex_max(
                 if computed is None and time.perf_counter() - started >= POOL_AFTER_S:
                     size = _pool_size(workers, len(todo) - searched)
                     if size > 1:
+                        import multiprocessing  # loaded only by a run that starts a pool
+
                         pool = open_pool.enter_context(multiprocessing.Pool(
                             size, signal.signal, (signal.SIGINT, signal.SIG_IGN)
                         ))

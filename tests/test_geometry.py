@@ -4,6 +4,7 @@ Everything runs on rational coordinates, so every assertion here is exact;
 there are no tolerances anywhere in this file.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,7 @@ from maxcross.geometry import (
     validate_general_position,
 )
 from maxcross.graph import make_complete, make_cycle, make_graph
+from maxcross.search import sample_regular_graph
 from reference import general_drawings, halves, reference_report, reference_violation
 
 coords = st.integers(min_value=-50, max_value=50)
@@ -49,6 +51,28 @@ def grid_points(draw):
     coordinate = st.integers(-k, k)
     return draw(st.lists(st.tuples(coordinate, coordinate),
                          min_size=n, max_size=n, unique=unique))
+
+
+# As in the benchmark's rational drawing: |numerator| up to 10^6 over a
+# denominator of 2..999, drawn for x and y separately.
+large = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(2, 999))
+
+
+@st.composite
+def large_drawings(draw):
+    """A random regular graph on 4..12 vertices at large rational points;
+    half the drawings repeat a point or put one on the line through two
+    others, at a rational parameter, so they break general position."""
+    n = draw(st.integers(4, 12))
+    d = draw(st.sampled_from([d for d in range(2, n) if n * d % 2 == 0]))
+    graph = sample_regular_graph(n, d, random.Random(draw(st.integers(0, 2**32))))
+    pts = [Point(draw(large), draw(large)) for _ in range(n)]
+    if draw(st.booleans()):
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        t = draw(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(-5, 2)]))
+        pts[k] = Point(pts[i].x + t * (pts[j].x - pts[i].x),
+                       pts[i].y + t * (pts[j].y - pts[i].y))
+    return GeometricDrawing(graph, tuple(pts))
 
 
 def parabola(n: int) -> tuple[Point, ...]:
@@ -129,16 +153,18 @@ class TestGeneralPosition:
     @given(grid_points())
     @settings(max_examples=200, deadline=None)
     def test_first_violation_matches_orientation_scan(self, coords):
-        # Half-integer Points, so the drawing's grid clears a denominator.
-        pts = [Point(Fraction(x, 2), Fraction(y, 2)) for x, y in coords]
-        drawing = GeometricDrawing(make_cycle(len(pts)), tuple(pts))
-        expected = reference_violation(pts)
-        assert degeneracy(coords) == expected
-        assert validate_general_position(drawing) == expected
-        if expected is not None:
-            with pytest.raises(DegeneracyError) as info:
-                count_crossings_geometric(drawing)
-            assert str(info.value) == f"vertices {expected} violate general position"
+        # Non-integral Points, so the drawing's grid clears denominators: the
+        # same on both axes, then a different one on each.
+        for qx, qy in ((2, 2), (2, 3)):
+            pts = [Point(Fraction(x, qx), Fraction(y, qy)) for x, y in coords]
+            drawing = GeometricDrawing(make_cycle(len(pts)), tuple(pts))
+            expected = reference_violation(pts)
+            assert degeneracy(coords) == expected
+            assert validate_general_position(drawing) == expected
+            if expected is not None:
+                with pytest.raises(DegeneracyError) as info:
+                    count_crossings_geometric(drawing)
+                assert str(info.value) == f"vertices {expected} violate general position"
 
     def test_non_rational_coordinate_rejected(self):
         pts = tuple(Point(float(i), float(i * i)) for i in range(4))
@@ -147,6 +173,40 @@ class TestGeneralPosition:
             with pytest.raises(ValueError, match="not rational") as info:
                 check(d)
             assert "\n" not in str(info.value)
+
+
+class TestGrid:
+    def test_each_axis_has_its_own_scale(self):
+        pts = (point(Fraction(1, 3), Fraction(2, 7)),
+               point(Fraction(-4, 3), Fraction(-1, 7)),
+               point(Fraction(5, 3), Fraction(3, 7)))
+        grid = GeometricDrawing(make_cycle(3), pts).grid
+        assert grid == ((1, 2), (-4, -1), (5, 3))
+        assert all(type(c) is int for p in grid for c in p)
+
+    @given(general_drawings())
+    @settings(max_examples=120, deadline=None)
+    def test_sides_match_fraction_orientation(self, drawing):
+        # Decided on the rational positions, so a grid that loses a sign fails here.
+        pos = drawing.positions
+        edges = drawing.graph.edges
+        sides = drawing.sides
+        assert sides.left == tuple(
+            sum(1 << w for w in range(len(pos)) if orientation(pos[u], pos[v], pos[w]) == LEFT)
+            for u, v in edges
+        )
+        assert sides.crossings == tuple(reference_report(drawing).per_edge.values())
+
+    @given(large_drawings())
+    @settings(max_examples=60, deadline=None)
+    def test_large_rationals_match_references(self, drawing):
+        expected = reference_violation(drawing.positions)
+        assert validate_general_position(drawing) == expected
+        if expected is None:
+            assert count_crossings_geometric(drawing) == reference_report(drawing)
+        else:
+            with pytest.raises(DegeneracyError):
+                count_crossings_geometric(drawing)
 
 
 class TestCountCrossings:
