@@ -1,0 +1,153 @@
+"""Time the fixed work of the convex search, for BENCH_shard_setup.json.
+
+    PYTHONPATH=src python scripts/shard_cost.py [--rounds R]
+
+Prints one JSON line per input with the least, over R rounds, of the time
+of one call in microseconds (the least is the reading that other load on
+the machine disturbs least).  The inputs are the convex_max calls of one
+pass of the `exhaustive` benchmark: its six searched cells, (10, 3) once,
+and the 17 cells with n <= 8 that `reproduce_table(10)` searches.
+
+- "star_us": one vertex-0 star decision, the star filter of convex_max run
+  on every one of those calls, over the number of stars it decides;
+- "root_cut_shard_us": one shard whose root hook call cuts it, that is
+  `_search_shard` from the floor on each such shard of those calls, over
+  their number;
+- "convex_max_us": `convex_max` on each searched cell of the workload;
+- "table_us": `reproduce_table(10)`.
+
+Each line also carries a digest of what the timed calls return, so runs on
+two trees can be checked to compute the same thing.  Point PYTHONPATH at
+another checkout's src to measure that tree.
+"""
+
+import argparse
+import hashlib
+import json
+import time
+
+import maxcross.search as search
+from maxcross.formulas import best_known
+from maxcross.graph import feasible, shard_prefixes
+
+# (n, d, long_run) of the `exhaustive` workload's search jobs
+SEARCHED = ((9, 4, False), (9, 6, False), (8, 4, False), (8, 6, False),
+            (10, 3, True), (10, 8, True))
+TABLE_CELLS = tuple(
+    (n, d) for n in range(4, search.TABLE_SEARCH_CAP + 1) for d in range(2, n) if feasible(n, d)
+)
+PASS_CELLS = tuple((n, d) for n, d, _ in SEARCHED) + TABLE_CELLS
+TARGET_S = 0.02  # run each timed call about this long per round
+
+
+def per_call_us(call, rounds: int) -> float:
+    """Least over rounds of one call's time, each round about TARGET_S."""
+    started = time.perf_counter()
+    call()
+    reps = max(1, int(TARGET_S / max(time.perf_counter() - started, 1e-7)))
+    times = []
+    for _ in range(rounds):
+        started = time.perf_counter()
+        for _ in range(reps):
+            call()
+        times.append((time.perf_counter() - started) / reps)
+    return round(min(times) * 1e6, 3)
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def star_filter():
+    """The convex search's star filter: (index, prefix) of the kept stars."""
+    if hasattr(search, "_kept_stars"):
+        return search._kept_stars
+
+    # before _kept_stars, convex_max ran this sorted-tuple rule inline
+    def kept(n, d):
+        return [
+            (index, prefix)
+            for index, prefix in enumerate(shard_prefixes(n, d))
+            if tuple(sorted(n - w for _, w in prefix)) >= tuple(w for _, w in prefix)
+        ]
+
+    return kept
+
+
+def root_cut_shards() -> list[tuple[int, int, tuple, int]]:
+    """(n, d, prefix, floor) of each shard of the pass that ends at its root
+    hook call, found by counting the hook calls of each shard once."""
+    walk = search.lex_fill
+    calls = []
+
+    def counting_walk(n, d, prefix, prune):
+        calls.append(0)
+
+        def counted(stack, remaining):
+            calls[-1] += 1
+            return prune(stack, remaining)
+
+        return walk(n, d, prefix, counted)
+
+    shards = []
+    search.lex_fill = counting_walk
+    try:
+        for n, d in PASS_CELLS:
+            floor = best_known(n, d).lower
+            for _, prefix in star_filter()(n, d):
+                search._search_shard(n, d, prefix, floor)
+                if calls[-1] == 1:
+                    shards.append((n, d, prefix, floor))
+    finally:
+        search.lex_fill = walk
+    return shards
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--rounds", type=int, default=15)
+    args = parser.parse_args()
+
+    kept = star_filter()
+
+    def stars():
+        return [kept(n, d) for n, d in PASS_CELLS]
+
+    count = sum(len(shard_prefixes(n, d)) for n, d in PASS_CELLS)
+    print(json.dumps({
+        "input": "stars", "calls": len(PASS_CELLS), "stars": count,
+        "star_us": round(per_call_us(stars, args.rounds) / count, 4),
+        "digest": digest(stars()),
+    }), flush=True)
+
+    shards = root_cut_shards()
+
+    def outcomes():
+        return [search._search_shard(*shard) for shard in shards]
+
+    print(json.dumps({
+        "input": "root-cut shards", "shards": len(shards),
+        "root_cut_shard_us": round(per_call_us(outcomes, args.rounds) / len(shards), 3),
+        "digest": digest(outcomes()),
+    }), flush=True)
+
+    for n, d, long_run in SEARCHED:
+        def run():
+            return search.convex_max(n, d, long_run=long_run)
+
+        result = run()
+        print(json.dumps({
+            "input": "convex_max", "n": n, "d": d,
+            "convex_max_us": per_call_us(run, args.rounds),
+            "digest": digest((result.max_crossings, result.witness, result.graphs_examined)),
+        }), flush=True)
+
+    print(json.dumps({
+        "input": "table", "max_n": 10,
+        "table_us": per_call_us(lambda: search.reproduce_table(10), args.rounds),
+        "digest": digest(search.reproduce_table(10)),
+    }), flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -80,7 +80,9 @@ class RegularGraph:
     @classmethod
     def _trusted(cls, n: int, d: int, edges: tuple[Edge, ...]) -> "RegularGraph":
         """Build without __post_init__, for lex_fill output only: the walk
-        already guarantees sorted, in-range edges and degree d everywhere."""
+        already guarantees sorted, in-range edges and degree d everywhere.
+        A convex search witness is such output, or the edges of a graph
+        that was validated when it was built."""
         graph = object.__new__(cls)
         graph.__dict__.update(n=n, d=d, edges=edges)
         return graph
@@ -173,9 +175,7 @@ def shard_prefixes(n: int, d: int) -> list[tuple[Edge, ...]]:
     enumeration.
     """
     require_feasible(n, d)
-    return [
-        tuple((0, w) for w in combo) for combo in combinations(range(1, n), d)
-    ]
+    return list(combinations([(0, w) for w in range(1, n)], d))
 
 
 def lex_fill(
@@ -217,6 +217,8 @@ def lex_fill(
     """
     remaining = [d] * n
     last = (-1, -1)
+    # the first vertex with free stubs; stubs only get used, so it only grows
+    first = 0
     for u, v in prefix:
         if not 0 <= u < v < n:
             raise ValueError(f"bad prefix edge ({u}, {v})")
@@ -224,10 +226,11 @@ def lex_fill(
             raise ValueError("prefix edges must be strictly increasing")
         if remaining[u] == 0 or remaining[v] == 0:
             raise ValueError(f"prefix edge ({u}, {v}) oversaturates a vertex")
-        starved = [x for x in range(u) if remaining[x]]
-        if starved:
+        while first < u and not remaining[first]:
+            first += 1
+        if first < u:
             raise ValueError(
-                f"prefix edge ({u}, {v}) is placed while vertex {starved[0]} "
+                f"prefix edge ({u}, {v}) is placed while vertex {first} "
                 "has free stubs"
             )
         remaining[u] -= 1

@@ -54,8 +54,9 @@ import signal
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations
+from itertools import combinations, compress, filterfalse
 from math import comb
+from operator import le
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .constructions import ConvexOrder, crossings_convex, interleave_masks
@@ -144,8 +145,10 @@ def _search_shard(
     that space; a complement witness is turned back into G.  Both spaces
     run the one hook below and differ only in its tables (_search_tables),
     which start both walks from a base graph: the empty graph in G, K_n in
-    H.  The objective starts at the base's crossings, each chord subtracts
-    its weight, the base chords it crosses, and a lower bound on the weight
+    H.  Everything else that depends on the cell and the space alone comes
+    from _search_cell, so a shard builds only its prefix rows and own.  The
+    objective starts at the base's crossings, each chord subtracts its
+    weight, the base chords it crosses, and a lower bound on the weight
     still to pay is subtracted in the slack; in G all three are 0.  The
     pattern keys always describe G: they start as the base's and each chord
     XORs its bits in, or out in H, so comparing G's keys is the reversed
@@ -169,18 +172,12 @@ def _search_shard(
     bound is exact one edge before a leaf; in H the hook cuts one.
     """
     complement = _searches_complement(n, d)
-    masks, bits, pattern_bits, starts, weight, step, value, keys = _search_tables(
-        n, complement
-    )
-    if complement:
-        degree = n - 1 - d
-        # G's star at 0 fixes H's: the partners G leaves out
-        taken = {w for _, w in prefix}
-        walk_prefix = tuple((0, w) for w in range(1, n) if w not in taken)
-    else:
-        degree, walk_prefix = d, prefix
-    m = n * degree // 2
-    full = (1 << n) - 1
+    (
+        degree, m, full, star, owed_rows,
+        masks, bits, pattern_bits, starts, weight, step, value, keys,
+    ) = _search_cell(n, d, complement)
+    # G's star at 0 fixes H's: the partners G leaves out
+    walk_prefix = tuple(filterfalse(set(prefix).__contains__, star)) if complement else prefix
     # crossings[k] and placed[k]: the objective (G's crossing count once
     # complete) and the edge bitmask of the first k edges on the walk's
     # current path; owed[k]: twice the pairs of edges still to place that
@@ -188,23 +185,21 @@ def _search_shard(
     # stubs, so the edges still to place cross each other at most
     # C(left, 2) - (owed[k] + 1) // 2 times more than they weigh;
     # patterns[k]: every vertex's two G pattern keys (_search_tables).
+    # A row is written before it is read, except the prefix rows below.
     crossings = [value] * (m + 1)
     placed = [0] * (m + 1)
-    owed = [0] * (m + 1)
+    owed = list(owed_rows)
     patterns = [keys] * (m + 1)
 
-    # After the k-th star edge vertex 0 keeps degree - k stubs and the partner
-    # degree - 1, so owed drops by both steps, as in prune below.  Star edges
-    # meet at 0 and cross nothing, chord (0, w) is at index w, and the root's
-    # hook call places the last one.
-    owed[0] = n * sum(step[:degree])
+    # Star edges meet at 0 and cross nothing, chord (0, w) is at index w,
+    # and the root's hook call places the last one.
     for k, (_, w) in enumerate(walk_prefix[:-1], 1):
         crossings[k] = crossings[k - 1] - weight[w]
         placed[k] = placed[k - 1] | bits[w]
         patterns[k] = patterns[k - 1] ^ pattern_bits[w]
-        owed[k] = owed[k - 1] - step[degree - k] - step[degree - 1]
-    # Vertex 0's forward key, the one to beat (see _search_tables).
-    own = sum(1 << n - 1 - w for _, w in prefix)
+    # Vertex 0's forward key in G, the one to beat: row 0 of the keys once
+    # the whole star is placed (see _search_tables).
+    own = (patterns[degree - 1] ^ pattern_bits[walk_prefix[-1][1]]) & full
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
         k = len(stack)
@@ -280,8 +275,32 @@ def _search_shard(
             best = current
             witness = edges
     if complement and witness is not None:
-        witness = RegularGraph(n, degree, witness).complement().edges
+        witness = RegularGraph._trusted(n, degree, witness).complement().edges
     return best, witness, examined
+
+
+@lru_cache(maxsize=None)
+def _search_cell(n: int, d: int, complement: bool) -> tuple[Any, ...]:
+    """What _search_shard derives from the cell and the space it walks alone,
+    built once per (n, d, space) per process; callers only read it.  The
+    space is the one _searches_complement picks at call time.
+
+    Returns the walk's degree and edge count m, the n-bit row mask, the
+    chords (0, 1), ..., (0, n - 1) at vertex 0, owed's rows for a shard
+    (m + 1 of them; the prefix ones filled, the rest written before they are
+    read), then _search_tables(n, complement).  After the k-th star edge
+    vertex 0 keeps degree - k stubs and the partner degree - 1, so owed drops
+    by both steps, as in _search_shard's hook.
+    """
+    tables = _search_tables(n, complement)
+    step = tables[5]
+    degree = n - 1 - d if complement else d
+    m = n * degree // 2
+    owed_rows = [n * sum(step[:degree])] * (m + 1)
+    for k in range(1, degree):
+        owed_rows[k] = owed_rows[k - 1] - step[degree - k] - step[degree - 1]
+    star = tuple((0, w) for w in range(1, n))
+    return (degree, m, (1 << n) - 1, star, tuple(owed_rows)) + tables
 
 
 @lru_cache(maxsize=None)
@@ -452,6 +471,24 @@ def load_shard_checkpoint(
     return best, witness, examined
 
 
+def _kept_stars(n: int, d: int) -> list[tuple[int, tuple[Edge, ...]]]:
+    """(index, prefix) of each shard_prefixes(n, d) star that can start a
+    kept graph, in index order.
+
+    A star S = N(0) whose backward pattern sorted(n - w for w in S) is
+    lexicographically below its forward one, S itself, holds no kept graph.
+    Both patterns have d offsets, so that is the star whose backward key,
+    the sum of 2^(w - 1) over S, is above its forward key, the sum of
+    2^(n - 1 - w) (the keys of _search_tables).  The keys come off two
+    combinations streams in the order of shard_prefixes, so a star is
+    decided without building or sorting a tuple for it.
+    """
+    offsets = range(1, n)
+    backward = map(sum, combinations([1 << w - 1 for w in offsets], d))
+    forward = map(sum, combinations([1 << n - 1 - w for w in offsets], d))
+    return list(compress(enumerate(shard_prefixes(n, d)), map(le, backward, forward)))
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     """Worker processes to start: no more than asked for, cores or tasks."""
     return max(1, min(workers, os.cpu_count() or 1, tasks))
@@ -498,12 +535,7 @@ def convex_max(
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     floor = bounds.lower
-    # A star whose backward pattern beats its forward one holds no kept graph.
-    shards = [
-        (index, prefix)
-        for index, prefix in enumerate(shard_prefixes(n, d))
-        if tuple(sorted(n - w for _, w in prefix)) >= tuple(w for _, w in prefix)
-    ]
+    shards = _kept_stars(n, d)
     loaded: dict[int, tuple[int, Optional[tuple[Edge, ...]], int]] = {}
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
@@ -514,7 +546,6 @@ def convex_max(
                 loaded[index] = load_shard_checkpoint(path, run, floor, bounds.upper)
 
     todo = [prefix for index, prefix in shards if index not in loaded]
-    search = partial(_search_shard, n, d, floor=floor)
     searched = 0
     computed: Optional[Iterator[tuple[int, Optional[tuple[Edge, ...]], int]]] = None
     best_value = -1
@@ -525,7 +556,10 @@ def convex_max(
         for index, prefix in shards:
             outcome = loaded.get(index)
             if outcome is None:
-                if computed is None and time.perf_counter() - started >= POOL_AFTER_S:
+                if (
+                    workers > 1 and computed is None
+                    and time.perf_counter() - started >= POOL_AFTER_S
+                ):
                     size = _pool_size(workers, len(todo) - searched)
                     if size > 1:
                         import multiprocessing  # loaded only by a run that starts a pool
@@ -533,8 +567,12 @@ def convex_max(
                         pool = open_pool.enter_context(multiprocessing.Pool(
                             size, signal.signal, (signal.SIGINT, signal.SIG_IGN)
                         ))
+                        search = partial(_search_shard, n, d, floor=floor)
                         computed = pool.imap(search, todo[searched:], chunksize=1)
-                outcome = search(prefix) if computed is None else next(computed)
+                if computed is None:
+                    outcome = _search_shard(n, d, prefix, floor)
+                else:
+                    outcome = next(computed)
                 searched += 1
                 if checkpoint_dir is not None:
                     path = _checkpoint_path(checkpoint_dir, index)
@@ -551,7 +589,7 @@ def convex_max(
         n=n,
         d=d,
         max_crossings=best_value,
-        witness=RegularGraph(n, d, best_witness),
+        witness=RegularGraph._trusted(n, d, best_witness),
         graphs_examined=examined_total,
         elapsed=time.perf_counter() - started,
         mode=MODE_CONVEX,

@@ -12,7 +12,9 @@ relabels the whole graph under each of them, where the search reads
 bit-packed neighbourhood patterns.  The complement search's decision counts
 the chords of K_n that each edge of H = K_n - G crosses and reads G's
 neighbourhoods off H's.
-The recursive walk is the plain form of the iterative `lex_fill`.
+The recursive walk is the plain form of the iterative `lex_fill`.  The star
+rule sorts each vertex-0 star's backward pattern and compares tuples, where
+the search compares two integer keys.
 """
 
 import random
@@ -205,6 +207,17 @@ def reference_walk(n, d, prefix=(), prune=None):
             stack.pop()
 
     yield from visit()
+
+
+def kept_stars_by_tuples(n, d):
+    """(index, star) of each vertex-0 star, in lexicographic order, whose
+    backward pattern sorted(n - w for w in N(0)) is lexicographically at
+    least its forward one, N(0) itself; the star is the tuple of its edges."""
+    kept = []
+    for index, combo in enumerate(combinations(range(1, n), d)):
+        if tuple(sorted(n - w for w in combo)) >= combo:
+            kept.append((index, tuple((0, w) for w in combo)))
+    return kept
 
 
 def dihedral_maps(n):

@@ -44,6 +44,7 @@ from maxcross.graph import (
 )
 from maxcross.search import (
     REFERENCE_VALUES,
+    _kept_stars,
     _pool_size,
     _search_shard,
     _search_tables,
@@ -60,6 +61,7 @@ from reference import (
     complement_prune_decision,
     dihedral_relabelings,
     keeps_dihedral_representative,
+    kept_stars_by_tuples,
     prune_decision,
     sample_by_pairing,
 )
@@ -120,6 +122,26 @@ def _count_prune_calls(monkeypatch):
 
     monkeypatch.setattr(search, "lex_fill", spy)
     return counts
+
+
+def _record_shard_work(monkeypatch):
+    """Prefixes convex_max passes to _search_shard, and [hook calls, cuts]
+    of each, in call order."""
+    import maxcross.search as search
+
+    counts = _count_prune_calls(monkeypatch)
+    searched = _record_searched_stars(monkeypatch)
+    spy = search._search_shard
+    work = []
+
+    def per_shard(n, d, prefix, floor):
+        before = counts[:]
+        outcome = spy(n, d, prefix, floor)
+        work.append([counts[0] - before[0], counts[1] - before[1]])
+        return outcome
+
+    monkeypatch.setattr(search, "_search_shard", per_shard)
+    return searched, work
 
 
 class TestConvexMax:
@@ -357,9 +379,39 @@ class TestConvexMax:
         convex_max(n, d, long_run=True)
         assert counts == [calls, cuts]
 
+    @pytest.mark.parametrize(
+        "job,searched,root_cut",
+        [
+            ((10, 3), 44, 42), ((9, 4), 38, 27), ((8, 4), 19, 7), ((9, 6), 16, 0),
+            ("table", 110, 64),
+        ],
+    )
+    def test_shard_work_is_pinned(self, job, searched, root_cut, monkeypatch):
+        # shards searched, and those of them that end at their root's single
+        # hook call, on the `exhaustive` benchmark cells and the table's
+        # searches; a change to the star rule or to the root step shows here
+        stars, work = _record_shard_work(monkeypatch)
+        if job == "table":
+            reproduce_table(10)
+        else:
+            convex_max(*job, long_run=True)
+        assert len(stars) == len(work) == searched
+        assert work.count([1, 1]) == root_cut
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_star_keys_keep_the_tuple_rule_stars(self, n):
+        # comparing the backward key with the forward key keeps exactly the
+        # stars whose sorted backward pattern is at least the star, with the
+        # same indices and prefixes; pinned up to n = 14, past LONG_RUN_CAP
+        for d in range(2, n):
+            if feasible(n, d):
+                assert _kept_stars(n, d) == kept_stars_by_tuples(n, d), (n, d)
+
     def test_infeasible(self):
         with pytest.raises(ValueError):
             convex_max(7, 3)
+        with pytest.raises(ValueError):
+            _kept_stars(7, 3)
 
     def test_mode_field(self):
         result = convex_max(5, 2)
@@ -468,6 +520,32 @@ class TestComplementSearch:
                 assert _search_shard(n, d, prefix, floor)[0] == best
         assert decisions[True] and decisions[False]
         assert leaves[True, True] and leaves[True, False] and leaves[False, False]
+
+    def test_cell_state_follows_the_space_chosen_at_call_time(self, monkeypatch):
+        # the per-cell state is keyed on the space as well as (n, d): once a
+        # shard of (8, 4) has been searched in G, forcing the complement
+        # must make the same call walk H, where the hook sees degree 3, and
+        # end with the same outcome
+        import maxcross.search as search
+
+        n, d = 8, 4
+        result = convex_max(n, d)
+        prefix = result.witness.edges[:d]
+        floor = best_known(n, d).lower
+        degrees = []
+        original = search.lex_fill
+
+        def spy(n_, d_, prefix_, prune):
+            degrees.append(d_)
+            return original(n_, d_, prefix_, prune)
+
+        monkeypatch.setattr(search, "lex_fill", spy)
+        in_g = _search_shard(n, d, prefix, floor)
+        monkeypatch.setattr(search, "_searches_complement", lambda n, d: True)
+        in_h = _search_shard(n, d, prefix, floor)
+        assert degrees == [d, n - 1 - d]
+        assert in_h == in_g
+        assert in_g[:2] == (result.max_crossings, result.witness.edges)
 
     @pytest.mark.parametrize("n,d", [(6, 2), (7, 4), (8, 2), (8, 4), (8, 5)])
     def test_both_spaces_give_every_shard_the_same_outcome(self, n, d, monkeypatch):
