@@ -19,26 +19,13 @@ import json
 import time
 
 import maxcross.search as search
+from harness import hook_calls
 
 
 def count_nodes(n: int, d: int) -> int:
-    nodes = 0
-    walk = search.lex_fill
-
-    def counting_walk(n, d, prefix, prune):
-        def counted(stack, remaining):
-            nonlocal nodes
-            nodes += 1
-            return prune(stack, remaining)
-
-        return walk(n, d, prefix, counted)
-
-    search.lex_fill = counting_walk
-    try:
+    with hook_calls() as calls:
         search.convex_max(n, d, long_run=True)
-    finally:
-        search.lex_fill = walk
-    return nodes
+    return sum(calls)
 
 
 def main() -> None:
@@ -63,11 +50,10 @@ def main() -> None:
     started = time.perf_counter()
     result = search.convex_max(args.n, args.d, workers=args.workers, long_run=True)
     wall = time.perf_counter() - started
-    witness = " ".join(f"{u}-{v}" for u, v in result.witness.edges)
     print(json.dumps({
         "n": args.n, "d": args.d, "workers": args.workers, "wall_s": round(wall, 4),
         "max": result.max_crossings, "examined": result.graphs_examined,
-        "witness": witness,
+        "witness": search.edges_token(result.witness.edges),
     }))
 
 

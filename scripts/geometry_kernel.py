@@ -21,41 +21,22 @@ another checkout's src to measure that tree.
 """
 
 import argparse
-import hashlib
 import json
 import random
 import sys
-import time
 from pathlib import Path
 
 from maxcross.constructions import generalized_star, star_like_even
 from maxcross.geometry import GeometricDrawing, crossing_total, drawing_from_text, side_table
 from maxcross.search import sample_positions, sample_regular_graph
 
+from harness import digest, per_call_us
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 from workloads import rational_drawing  # noqa: E402
 
 PROBE_CELLS = ((6, 3), (8, 4), (10, 4), (12, 5))
 PROBE_INPUTS = 200
-TARGET_S = 0.02  # run each timed call about this long per round
-
-
-def per_call_us(call, rounds: int) -> float:
-    """Least over rounds of one call's time, each round about TARGET_S."""
-    started = time.perf_counter()
-    call()
-    reps = max(1, int(TARGET_S / max(time.perf_counter() - started, 1e-7)))
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        for _ in range(reps):
-            call()
-        times.append((time.perf_counter() - started) / reps)
-    return round(min(times) * 1e6, 2)
-
-
-def digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def main() -> None:
@@ -72,8 +53,8 @@ def main() -> None:
         grid = drawing.grid
         print(json.dumps({
             "input": kind, "n": n, "d": d,
-            "sides_us": per_call_us(lambda: GeometricDrawing(graph, positions).sides, args.rounds),
-            "side_table_us": per_call_us(lambda: side_table(grid, graph.edges), args.rounds),
+            "sides_us": per_call_us(lambda: GeometricDrawing(graph, positions).sides, args.rounds, 2),
+            "side_table_us": per_call_us(lambda: side_table(grid, graph.edges), args.rounds, 2),
             "digest": digest(drawing.sides),
         }), flush=True)
     for n, d in PROBE_CELLS:
@@ -84,7 +65,7 @@ def main() -> None:
         def totals():
             return [crossing_total(pts, edges) for pts, edges in inputs]
 
-        us = per_call_us(totals, args.rounds) / PROBE_INPUTS
+        us = per_call_us(totals, args.rounds, 2) / PROBE_INPUTS
         print(json.dumps({
             "input": "probe", "n": n, "d": d, "crossing_total_us": round(us, 3),
             "digest": digest(totals()),

@@ -22,13 +22,13 @@ another checkout's src to measure that tree.
 """
 
 import argparse
-import hashlib
 import json
-import time
 
 import maxcross.search as search
 from maxcross.formulas import best_known
 from maxcross.graph import feasible, shard_prefixes
+
+from harness import digest, hook_calls, per_call_us
 
 # (n, d, long_run) of the `exhaustive` workload's search jobs
 SEARCHED = ((9, 4, False), (9, 6, False), (8, 4, False), (8, 6, False),
@@ -37,25 +37,6 @@ TABLE_CELLS = tuple(
     (n, d) for n in range(4, search.TABLE_SEARCH_CAP + 1) for d in range(2, n) if feasible(n, d)
 )
 PASS_CELLS = tuple((n, d) for n, d, _ in SEARCHED) + TABLE_CELLS
-TARGET_S = 0.02  # run each timed call about this long per round
-
-
-def per_call_us(call, rounds: int) -> float:
-    """Least over rounds of one call's time, each round about TARGET_S."""
-    started = time.perf_counter()
-    call()
-    reps = max(1, int(TARGET_S / max(time.perf_counter() - started, 1e-7)))
-    times = []
-    for _ in range(rounds):
-        started = time.perf_counter()
-        for _ in range(reps):
-            call()
-        times.append((time.perf_counter() - started) / reps)
-    return round(min(times) * 1e6, 3)
-
-
-def digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
 def star_filter():
@@ -77,29 +58,14 @@ def star_filter():
 def root_cut_shards() -> list[tuple[int, int, tuple, int]]:
     """(n, d, prefix, floor) of each shard of the pass that ends at its root
     hook call, found by counting the hook calls of each shard once."""
-    walk = search.lex_fill
-    calls = []
-
-    def counting_walk(n, d, prefix, prune):
-        calls.append(0)
-
-        def counted(stack, remaining):
-            calls[-1] += 1
-            return prune(stack, remaining)
-
-        return walk(n, d, prefix, counted)
-
     shards = []
-    search.lex_fill = counting_walk
-    try:
+    with hook_calls() as calls:
         for n, d in PASS_CELLS:
             floor = best_known(n, d).lower
             for _, prefix in star_filter()(n, d):
                 search._search_shard(n, d, prefix, floor)
                 if calls[-1] == 1:
                     shards.append((n, d, prefix, floor))
-    finally:
-        search.lex_fill = walk
     return shards
 
 
@@ -116,7 +82,7 @@ def main() -> None:
     count = sum(len(shard_prefixes(n, d)) for n, d in PASS_CELLS)
     print(json.dumps({
         "input": "stars", "calls": len(PASS_CELLS), "stars": count,
-        "star_us": round(per_call_us(stars, args.rounds) / count, 4),
+        "star_us": round(per_call_us(stars, args.rounds, 3) / count, 4),
         "digest": digest(stars()),
     }), flush=True)
 
@@ -127,7 +93,7 @@ def main() -> None:
 
     print(json.dumps({
         "input": "root-cut shards", "shards": len(shards),
-        "root_cut_shard_us": round(per_call_us(outcomes, args.rounds) / len(shards), 3),
+        "root_cut_shard_us": round(per_call_us(outcomes, args.rounds, 3) / len(shards), 3),
         "digest": digest(outcomes()),
     }), flush=True)
 
@@ -138,13 +104,13 @@ def main() -> None:
         result = run()
         print(json.dumps({
             "input": "convex_max", "n": n, "d": d,
-            "convex_max_us": per_call_us(run, args.rounds),
+            "convex_max_us": per_call_us(run, args.rounds, 3),
             "digest": digest((result.max_crossings, result.witness, result.graphs_examined)),
         }), flush=True)
 
     print(json.dumps({
         "input": "table", "max_n": 10,
-        "table_us": per_call_us(lambda: search.reproduce_table(10), args.rounds),
+        "table_us": per_call_us(lambda: search.reproduce_table(10), args.rounds, 3),
         "digest": digest(search.reproduce_table(10)),
     }), flush=True)
 

@@ -25,7 +25,9 @@ from .geometry import (
     load_drawing,
 )
 from .graph import Edge, write_utf8
-from .search import SearchResult, convex_max, perturbation_probe, reproduce_table
+from .search import (
+    SearchResult, convex_max, edges_token, perturbation_probe, reproduce_table,
+)
 
 
 # SVG sizes: user units per drawing unit, then vertex radius and line width.
@@ -196,7 +198,7 @@ def _print_search_result(result: SearchResult) -> None:
     print(f"mode {result.mode}")
     print(f"max_crossings {result.max_crossings}")
     print(f"graphs_examined {result.graphs_examined}")
-    print("witness " + " ".join(f"{u}-{v}" for u, v in result.witness.edges))
+    print(f"witness {edges_token(result.witness.edges)}")
 
 
 def _cmd_search(args: argparse.Namespace) -> int:

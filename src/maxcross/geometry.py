@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegeneracyError
-from .graph import Edge, RegularGraph, read_utf8, write_utf8
+from .graph import Edge, RegularGraph, load_text, sized_body, write_utf8
 
 DRAWING_FORMAT_HEADER = "drawing v1"
 
@@ -244,18 +244,7 @@ def drawing_to_text(drawing: GeometricDrawing, trailer: str | None = None) -> st
 
 def drawing_from_text(text: str) -> GeometricDrawing:
     """Parse the drawing v1 format; comment lines are skipped."""
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    if not lines or lines[0] != DRAWING_FORMAT_HEADER:
-        raise ValueError(f"missing '{DRAWING_FORMAT_HEADER}' header")
-    if len(lines) < 2:
-        raise ValueError("truncated drawing file")
-    try:
-        n, m = map(int, lines[1].split())
-    except ValueError as exc:
-        raise ValueError(f"bad size line {lines[1]!r}") from exc
-    if n < 0 or m < 0:
-        raise ValueError(f"negative count in size line {lines[1]!r}")
-    body = [line for line in lines[2:] if line.strip()]
+    n, m, body = sized_body(text, DRAWING_FORMAT_HEADER, "drawing")
     if len(body) != n + m:
         raise ValueError(f"expected {n} point and {m} edge lines, got {len(body)}")
     positions = []
@@ -292,11 +281,7 @@ def save_drawing(drawing: GeometricDrawing, path, trailer: str | None = None) ->
 
 def load_drawing(path) -> GeometricDrawing:
     """Read a drawing v1 file; every ValueError names the file."""
-    text = read_utf8(path, "drawing")
-    try:
-        return drawing_from_text(text)
-    except ValueError as exc:
-        raise ValueError(f"drawing {path}: {exc}") from exc
+    return load_text(path, "drawing", drawing_from_text)
 
 
 def crossing_total(positions: Sequence[tuple[int, int]], edges: Sequence[Edge]) -> int:

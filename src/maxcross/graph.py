@@ -11,11 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TypeVar
 
 from .errors import ResourceLimitError
 
 Edge = tuple[int, int]
+T = TypeVar("T")
 
 ENUMERATION_CAP = 10
 GRAPH_FORMAT_HEADER = "regular-graph v1"
@@ -299,16 +300,7 @@ def graph_to_text(graph: RegularGraph) -> str:
 
 def graph_from_text(text: str) -> RegularGraph:
     """Parse the regular-graph v1 format, validating every invariant."""
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    if not lines or lines[0] != GRAPH_FORMAT_HEADER:
-        raise ValueError(f"missing '{GRAPH_FORMAT_HEADER}' header")
-    if len(lines) < 2:
-        raise ValueError("truncated graph file")
-    try:
-        n, d = map(int, lines[1].split())
-    except ValueError as exc:
-        raise ValueError(f"bad size line {lines[1]!r}") from exc
-    body = [line for line in lines[2:] if line.strip()]
+    n, d, body = sized_body(text, GRAPH_FORMAT_HEADER, "graph")
     expected = n * d // 2
     if len(body) != expected:
         raise ValueError(f"expected {expected} edge lines, got {len(body)}")
@@ -322,18 +314,26 @@ def graph_from_text(text: str) -> RegularGraph:
     return RegularGraph(n, d, tuple(edges))
 
 
+def sized_body(text: str, header: str, kind: str) -> tuple[int, int, list[str]]:
+    """The two counts of the size line and the non-blank body lines of a text
+    format that starts with header; '#' lines are comments wherever they
+    stand.  A negative count is refused before a parser sizes anything by it."""
+    lines = [line for line in text.splitlines() if not line.startswith("#")]
+    if not lines or lines[0] != header:
+        raise ValueError(f"missing '{header}' header")
+    if len(lines) < 2:
+        raise ValueError(f"truncated {kind} file")
+    try:
+        a, b = map(int, lines[1].split())
+    except ValueError as exc:
+        raise ValueError(f"bad size line {lines[1]!r}") from exc
+    if a < 0 or b < 0:
+        raise ValueError(f"negative count in size line {lines[1]!r}")
+    return a, b, [line for line in lines[2:] if line.strip()]
+
+
 def save_graph(graph: RegularGraph, path) -> None:
     write_utf8(path, graph_to_text(graph))
-
-
-def read_utf8(path, kind: str) -> str:
-    """The whole text of a UTF-8 file.  A file that does not decode raises
-    ValueError naming the kind of file and its path."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{kind} {path}: not UTF-8 text") from exc
 
 
 def write_utf8(path, text: str) -> None:
@@ -342,10 +342,19 @@ def write_utf8(path, text: str) -> None:
         handle.write(text)
 
 
+def load_text(path, kind: str, parse: Callable[[str], T]) -> T:
+    """parse applied to the text of a UTF-8 file, the one reader of every file
+    format: a decode failure or a ValueError from parse raises ValueError as
+    '<kind> <path>: <reason>'; OSError from opening the file passes through."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            return parse(handle.read())
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{kind} {path}: not UTF-8 text") from exc
+        except ValueError as exc:
+            raise ValueError(f"{kind} {path}: {exc}") from exc
+
+
 def load_graph(path) -> RegularGraph:
     """Read a regular-graph v1 file; every ValueError names the file."""
-    text = read_utf8(path, "graph")
-    try:
-        return graph_from_text(text)
-    except ValueError as exc:
-        raise ValueError(f"graph {path}: {exc}") from exc
+    return load_text(path, "graph", graph_from_text)

@@ -64,7 +64,7 @@ from .errors import ResourceLimitError
 from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
 from .graph import (
-    Edge, RegularGraph, feasible, lex_fill, make_circulant, make_complete, read_utf8,
+    Edge, RegularGraph, feasible, lex_fill, load_text, make_circulant, make_complete,
     require_feasible, shard_prefixes, write_utf8,
 )
 
@@ -75,6 +75,10 @@ PROBE_CAP = 100
 # leaves a visible bias in the triangle counts of cubic graphs on 8 vertices.
 SWITCHES_PER_EDGE = 10
 CHECKPOINT_HEADER = "ckpt v1"
+# One shard record, from search to disk to merge: its run (n, d, shard index,
+# prefix) and its outcome (best, witness or None, graphs examined).
+ShardRun = tuple[int, int, int, tuple[Edge, ...]]
+ShardOutcome = tuple[int, Optional[tuple[Edge, ...]], int]
 # Seconds a convex_max call searches in-process before it may start workers.
 # Starting and terminating a two-worker pool costs about 10 ms on a 2-core
 # machine: a search that ends sooner than this never pays it, and a longer
@@ -127,9 +131,7 @@ def _searches_complement(n: int, d: int) -> bool:
     return 0 < spare and 2 * spare < d
 
 
-def _search_shard(
-    n: int, d: int, prefix: tuple[Edge, ...], floor: int
-) -> tuple[int, Optional[tuple[Edge, ...]], int]:
+def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> ShardOutcome:
     """Depth-first search of one forced-prefix shard.
 
     Returns (best, witness edges or None, graphs examined).  The floor
@@ -367,12 +369,13 @@ def _checkpoint_path(directory: str, index: int) -> str:
     return os.path.join(directory, f"shard-{index}.ckpt")
 
 
-def _edges_token(edges: Optional[Sequence[Edge]]) -> str:
+def edges_token(edges: Optional[Sequence[Edge]]) -> str:
+    """Edges as space-separated u-v tokens, "-" for none: witness lines, ckpt v1."""
     return " ".join(f"{u}-{v}" for u, v in edges) if edges else "-"
 
 
 def _parse_edges_token(token: str) -> Optional[tuple[Edge, ...]]:
-    """Inverse of _edges_token, except that "-" reads back as None."""
+    """Inverse of edges_token, except that "-" reads back as None."""
     if token.strip() == "-":
         return None
     edges = []
@@ -382,11 +385,7 @@ def _parse_edges_token(token: str) -> Optional[tuple[Edge, ...]]:
     return tuple(edges)
 
 
-def write_shard_checkpoint(
-    path: str,
-    run: tuple[int, int, int, tuple[Edge, ...]],
-    outcome: tuple[int, Optional[tuple[Edge, ...]], int],
-) -> None:
+def write_shard_checkpoint(path: str, run: ShardRun, outcome: ShardOutcome) -> None:
     """Persist one finished shard in the ckpt v1 text format: run is
     (n, d, shard index, prefix) and outcome is _search_shard's
     (best, witness or None, examined)."""
@@ -397,10 +396,10 @@ def write_shard_checkpoint(
         f"n {n}",
         f"d {d}",
         f"shard {index}",
-        f"prefix {_edges_token(prefix)}",
+        f"prefix {edges_token(prefix)}",
         f"examined {examined}",
         f"best {best}",
-        f"witness {_edges_token(witness)}",
+        f"witness {edges_token(witness)}",
     ]
     temporary = path + ".tmp"
     write_utf8(temporary, "\n".join(lines) + "\n")
@@ -408,8 +407,8 @@ def write_shard_checkpoint(
 
 
 def load_shard_checkpoint(
-    path: str, run: tuple[int, int, int, tuple[Edge, ...]], floor: int, upper: int
-) -> tuple[int, Optional[tuple[Edge, ...]], int]:
+    path: str, run: ShardRun, floor: int, upper: int
+) -> ShardOutcome:
     """Read a ckpt v1 file and re-check it before it joins the merge.
 
     Returns the shard outcome (best, witness or None, examined) as
@@ -425,49 +424,52 @@ def load_shard_checkpoint(
     file on the first damage or mismatch, and the field when a value does not
     parse.
     """
-    lines = read_utf8(path, "checkpoint").splitlines()
-    fail = f"checkpoint {path}: "
+    return load_text(path, "checkpoint", partial(_shard_from_text, run, floor, upper))
+
+
+def _shard_from_text(run: ShardRun, floor: int, upper: int, text: str) -> ShardOutcome:
+    lines = text.splitlines()
     if not lines or lines[0] != CHECKPOINT_HEADER:
-        raise ValueError(fail + f"missing '{CHECKPOINT_HEADER}' header")
+        raise ValueError(f"missing '{CHECKPOINT_HEADER}' header")
     # key -> value of every non-blank line; a repeated key keeps its last value
     fields = dict(line.partition(" ")[::2] for line in lines[1:] if line.strip())
 
     def field(name: str, parse: Callable[[str], Any]) -> Any:
         if name not in fields:
-            raise ValueError(fail + f"missing field '{name}'")
+            raise ValueError(f"missing field '{name}'")
         try:
             return parse(fields[name])
         except ValueError as exc:
-            raise ValueError(fail + f"bad field {name}") from exc
+            raise ValueError(f"bad field {name}") from exc
 
     n, d, index = (field(name, int) for name in ("n", "d", "shard"))
     prefix = field("prefix", _parse_edges_token)
     examined, best = field("examined", int), field("best", int)
     witness = field("witness", _parse_edges_token)
     if (n, d, index, prefix) != run:
-        raise ValueError(fail + "belongs to a different run")
+        raise ValueError("belongs to a different run")
     if examined < 0:
-        raise ValueError(fail + "negative examined count")
+        raise ValueError("negative examined count")
     most = comb(comb(n - 1, 2), n * d // 2 - d)
     if examined > most:
-        raise ValueError(fail + f"examined {examined} above the limit {most}")
+        raise ValueError(f"examined {examined} above the limit {most}")
     if witness is None:
         if best != floor:
-            raise ValueError(fail + f"best {best} without a witness")
+            raise ValueError(f"best {best} without a witness")
         return best, witness, examined
     if not examined:
-        raise ValueError(fail + "witness recorded with examined 0")
+        raise ValueError("witness recorded with examined 0")
     try:
         graph = RegularGraph(n, d, witness)
     except ValueError as exc:
-        raise ValueError(fail + f"bad witness: {exc}") from exc
+        raise ValueError(f"bad witness: {exc}") from exc
     if witness[: len(prefix)] != prefix:
-        raise ValueError(fail + "witness does not extend the shard prefix")
+        raise ValueError("witness does not extend the shard prefix")
     recount = crossings_convex(graph, ConvexOrder.identity(n)).total
     if recount != best:
-        raise ValueError(fail + f"best {best} but the witness has {recount} crossings")
+        raise ValueError(f"best {best} but the witness has {recount} crossings")
     if not floor <= best <= upper:
-        raise ValueError(fail + f"best {best} outside the bounds [{floor}, {upper}]")
+        raise ValueError(f"best {best} outside the bounds [{floor}, {upper}]")
     return best, witness, examined
 
 
@@ -536,7 +538,7 @@ def convex_max(
         raise ValueError(f"need workers >= 1, got {workers}")
     floor = bounds.lower
     shards = _kept_stars(n, d)
-    loaded: dict[int, tuple[int, Optional[tuple[Edge, ...]], int]] = {}
+    loaded: dict[int, ShardOutcome] = {}
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)
         for index, prefix in shards:
@@ -547,7 +549,7 @@ def convex_max(
 
     todo = [prefix for index, prefix in shards if index not in loaded]
     searched = 0
-    computed: Optional[Iterator[tuple[int, Optional[tuple[Edge, ...]], int]]] = None
+    computed: Optional[Iterator[ShardOutcome]] = None
     best_value = -1
     best_witness: Optional[tuple[Edge, ...]] = None
     examined_total = 0

@@ -322,6 +322,8 @@ class TestExitCodes:
             (b"\n1 2\n", b"\n1 2 5\n", "bad edge line '1 2 5'"),
             (b"\n1 2\n", b"\n1 \xff\n", "not UTF-8 text"),
             (b"drawing v1", b"drawing v9", "missing 'drawing v1' header"),
+            (b"\n0 2\n0 3\n", b"\n0 3\n0 2\n", "edges must be strictly increasing"),
+            (b"\n4 4\n", b"\n4 -4\n", "negative count in size line '4 -4'"),
         ],
     )
     def test_drawing_error_names_the_file(self, capsys, tmp_path, good, bad, message):
