@@ -292,11 +292,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--mode", choices=("convex", "probe"), default="convex")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--long-run", action="store_true")
-    p.add_argument("--checkpoint-dir", default=None, metavar="DIR")
+    p.add_argument("--trials", type=int, default=1000,
+                   help="random graphs to try (probe mode only)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random trials (probe mode only)")
+    p.add_argument("--workers", type=int, default=1,
+                   help="most worker processes (convex mode only)")
+    p.add_argument("--long-run", action="store_true",
+                   help="raise the size cap from n = 9 to n = 12 (convex mode only)")
+    p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
+                   help="write and resume per-shard checkpoints (convex mode only)")
 
     p = sub.add_parser("table", help="best-known value table")
     p.add_argument("--max-n", type=int, required=True)

@@ -145,16 +145,15 @@ def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> Shard
     The walk is lex_fill over G, or over its complement H when
     _searches_complement(n, d) (module docstring), from vertex 0's star in
     that space; a complement witness is turned back into G.  Both spaces
-    run the one hook below and differ only in its tables (_search_tables),
-    which start both walks from a base graph: the empty graph in G, K_n in
-    H.  Everything else that depends on the cell and the space alone comes
-    from _search_cell, so a shard builds only its prefix rows and own.  The
-    objective starts at the base's crossings, each chord subtracts its
-    weight, the base chords it crosses, and a lower bound on the weight
-    still to pay is subtracted in the slack; in G all three are 0.  The
-    pattern keys always describe G: they start as the base's and each chord
-    XORs its bits in, or out in H, so comparing G's keys is the reversed
-    test on H's.
+    run the one hook below and differ only in its tables, which
+    _search_cell builds once per cell and space and which start both walks
+    from a base graph: the empty graph in G, K_n in H.  A shard builds only
+    its prefix rows and own.  The objective starts at the base's crossings,
+    each chord subtracts its weight, the base chords it crosses, and a lower
+    bound on the weight still to pay is subtracted in the slack; in G all
+    three are 0.  The pattern keys always describe G: they start as the
+    base's and each chord XORs its bits in, or out in H, so comparing G's
+    keys is the reversed test on H's.
 
     Every search node, the shard's root and the leaves included, is one call
     of the prune hook, which does the node's whole step itself: it places
@@ -186,7 +185,7 @@ def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> Shard
     # meet at a vertex, plus each vertex's cheapest weight for its free
     # stubs, so the edges still to place cross each other at most
     # C(left, 2) - (owed[k] + 1) // 2 times more than they weigh;
-    # patterns[k]: every vertex's two G pattern keys (_search_tables).
+    # patterns[k]: every vertex's two G pattern keys (_search_cell).
     # A row is written before it is read, except the prefix rows below.
     crossings = [value] * (m + 1)
     placed = [0] * (m + 1)
@@ -200,7 +199,7 @@ def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> Shard
         placed[k] = placed[k - 1] | bits[w]
         patterns[k] = patterns[k - 1] ^ pattern_bits[w]
     # Vertex 0's forward key in G, the one to beat: row 0 of the keys once
-    # the whole star is placed (see _search_tables).
+    # the whole star is placed (see _search_cell).
     own = (patterns[degree - 1] ^ pattern_bits[walk_prefix[-1][1]]) & full
 
     def prune(stack: list[Edge], remaining: list[int]) -> bool:
@@ -290,32 +289,12 @@ def _search_cell(n: int, d: int, complement: bool) -> tuple[Any, ...]:
     Returns the walk's degree and edge count m, the n-bit row mask, the
     chords (0, 1), ..., (0, n - 1) at vertex 0, owed's rows for a shard
     (m + 1 of them; the prefix ones filled, the rest written before they are
-    read), then _search_tables(n, complement).  After the k-th star edge
-    vertex 0 keeps degree - k stubs and the partner degree - 1, so owed drops
-    by both steps, as in _search_shard's hook.
-    """
-    tables = _search_tables(n, complement)
-    step = tables[5]
-    degree = n - 1 - d if complement else d
-    m = n * degree // 2
-    owed_rows = [n * sum(step[:degree])] * (m + 1)
-    for k in range(1, degree):
-        owed_rows[k] = owed_rows[k - 1] - step[degree - k] - step[degree - 1]
-    star = tuple((0, w) for w in range(1, n))
-    return (degree, m, (1 << n) - 1, star, tuple(owed_rows)) + tables
-
-
-@lru_cache(maxsize=None)
-def _search_tables(n: int, complement: bool) -> tuple[
-    tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...],
-    tuple[int, ...], tuple[int, ...], int, int,
-]:
-    """What _search_shard's hook reads for the n-gon in one space, built once
-    per n and space per process; callers only read them: the interleave
-    mask, bit, pattern bits and weight of every chord (a, b) at index
-    a * n + b, the index of chord (a, a + 1) at index a, the step owed drops
-    by when a vertex goes down to r free stubs at index r, and the objective
-    and the pattern keys of the empty walk.
+    read), the interleave mask, bit, pattern bits and weight of every chord
+    (a, b) at index a * n + b, the index of chord (a, a + 1) at index a, the
+    step owed drops by when a vertex goes down to r free stubs at index r,
+    and the objective and the pattern keys of the empty walk.  After the
+    k-th star edge vertex 0 keeps degree - k stubs and the partner
+    degree - 1, so owed drops by both steps, as in _search_shard's hook.
 
     Chord i of combinations(range(n), 2) is bit i of a chord set, so the
     chords (a, a + 1), ..., (a, n - 1) are consecutive bits.  A pattern, a
@@ -359,7 +338,14 @@ def _search_tables(n: int, complement: bool) -> tuple[
             keys ^= pattern_bits[j]
     starts = tuple(a * (2 * n - a - 1) // 2 for a in range(n))
     step = tuple(2 * r + c for r, c in enumerate(sorted(weight[1:n])))
+    degree = n - 1 - d if complement else d
+    m = n * degree // 2
+    owed_rows = [n * sum(step[:degree])] * (m + 1)
+    for k in range(1, degree):
+        owed_rows[k] = owed_rows[k - 1] - step[degree - k] - step[degree - 1]
+    star = tuple((0, w) for w in range(1, n))
     return (
+        degree, m, (1 << n) - 1, star, tuple(owed_rows),
         tuple(masks), tuple(bits), tuple(pattern_bits), starts,
         tuple(weight), step, sum(weight) // 2, keys,
     )
@@ -481,7 +467,7 @@ def _kept_stars(n: int, d: int) -> list[tuple[int, tuple[Edge, ...]]]:
     lexicographically below its forward one, S itself, holds no kept graph.
     Both patterns have d offsets, so that is the star whose backward key,
     the sum of 2^(w - 1) over S, is above its forward key, the sum of
-    2^(n - 1 - w) (the keys of _search_tables).  The keys come off two
+    2^(n - 1 - w) (the keys of _search_cell).  The keys come off two
     combinations streams in the order of shard_prefixes, so a star is
     decided without building or sorting a tuple for it.
     """

@@ -46,8 +46,8 @@ from maxcross.search import (
     REFERENCE_VALUES,
     _kept_stars,
     _pool_size,
+    _search_cell,
     _search_shard,
-    _search_tables,
     _searches_complement,
     convex_max,
     load_shard_checkpoint,
@@ -460,17 +460,22 @@ class TestComplementSearch:
         # empty walk is K_n with C(n, 4) crossings, and each of the 2n
         # pattern rows holds every offset 1..n-1, its bits n-2..0
         closed = {a * n + b: (b - a - 1) * (n - b + a - 1) for a, b in combinations(range(n), 2)}
-        *_, weight, step, value, keys = _search_tables(n, True)
+        in_h = _search_cell(n, 2, True)
+        *_, weight, step, value, keys = in_h
         assert weight == tuple(closed.get(j, 0) for j in range(n * n))
         cheapest = sorted(closed[w] for w in range(1, n))
         assert step == tuple(2 * r + c for r, c in enumerate(cheapest))
         assert value == math.comb(n, 4)
         assert keys == sum(((1 << n - 1) - 1) << row * n for row in range(2 * n))
         # in G the walk starts from the empty graph: nothing to weigh or owe
-        *_, weight, step, value, keys = _search_tables(n, False)
+        in_g = _search_cell(n, 2, False)
+        *_, weight, step, value, keys = in_g
         assert weight == (0,) * (n * n)
         assert step == tuple(2 * r for r in range(n - 1))
         assert (value, keys) == (0, 0)
+        # the two spaces share masks, chord bits, pattern bits and starts;
+        # of the chord tables only the fields checked above differ
+        assert in_g[5:9] == in_h[5:9]
 
     @pytest.mark.parametrize("n,d", [(8, 4), (8, 5), (8, 6)])
     def test_hook_matches_reference(self, n, d, monkeypatch):
