@@ -9,9 +9,9 @@ from the plain definitions: the stack-based residual capacity, the pairs of
 future edges counted vertex by vertex, and the 2n rotations and reflections
 applied to a saturated vertex's neighbourhood.  The dihedral predicate
 relabels the whole graph under each of them, where the search reads
-bit-packed neighbourhood patterns.  The complement search's decision counts
-the chords of K_n that each edge of H = K_n - G crosses and reads G's
-neighbourhoods off H's.
+bit-packed neighbourhood patterns.  In the complement search the same
+decision counts the chords of K_n that each edge of H = K_n - G crosses and
+reads G's neighbourhoods off H's.
 The recursive walk is the plain form of the iterative `lex_fill`.  The star
 rule sorts each vertex-0 star's backward pattern and compares tuples, where
 the search compares two integer keys.
@@ -20,7 +20,6 @@ the search compares two integer keys.
 import random
 from fractions import Fraction
 from itertools import accumulate, combinations
-from math import comb
 
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -107,52 +106,31 @@ def interleave(chord, other):
     return a < c < b < e or c < a < e < b
 
 
-def prune_decision(n, d, stack, remaining, best):
+def prune_decision(n, d, stack, remaining, best, complement=False):
     """The convex search's cut at one node, rebuilt from the definitions.
 
-    Cut when a vertex that the last edge saturated has a neighbourhood that
-    some rotation or reflection sending it to 0 makes lexicographically
-    smaller than vertex 0's own, or when the crossings of the placed chords,
-    plus C(left, 2) less the pairs of future edges meeting at a vertex, plus
-    the residual capacity stay below best.  Vertex 0 is saturated.
+    stack and remaining are the walk's edges and free stubs, in G or, with
+    complement, in H = K_n - G, of degree n - 1 - d.  The walk starts from
+    a base graph, the empty graph in G and K_n in H: an edge of G adds its
+    chord, an edge of H removes it.  A vertex the last edge saturated has its
+    G-neighbourhood final; cut when some rotation or reflection sending it
+    to 0 makes that lexicographically smaller than vertex 0's.  A
+    completion's G has the base's crossings, less the base chords that cross
+    each walked edge, plus the crossings of the walked edges.  So the bound
+    is that count on the placed edges, plus C(left, 2) less the pairs of
+    future edges meeting at a vertex, plus the residual capacity, less half
+    the least weight each vertex's free stubs can take (its r cheapest edges
+    at vertex 0), rounded up; in G every weight is 0.  Cut when it stays
+    below best.  Vertex 0 is saturated.
     """
-    own = sorted(b for a, b in stack if a == 0)
-    for v in stack[-1]:
-        if remaining[v]:
-            continue
-        neighbours = [a + b - v for a, b in stack if v in (a, b)]
-        for f in dihedral_maps(n):
-            if f(v) == 0 and sorted(f(x) for x in neighbours) < own:
-                return True
-    current = sum(interleave(p, q) for p, q in combinations(stack, 2))
-    left = n * d // 2 - len(stack)
-    pairs = left * (left - 1) // 2 - sum(r * (r - 1) // 2 for r in remaining)
-    slack = best - current - pairs
-    return slack > 0 and residual_capacity(stack, remaining) < slack
-
-
-def complement_prune_decision(n, d, stack, remaining, best):
-    """The complement search's cut at one node, rebuilt from the definitions.
-
-    stack and remaining are the walk's edges and free stubs in H = K_n - G,
-    which has degree n - 1 - d.  A vertex the last edge saturated has its
-    G-neighbourhood final, the other vertices it does not meet in H; cut when
-    some rotation or reflection sending it to 0 makes that lexicographically
-    smaller than vertex 0's.  A completion's G has C(n, 4) crossings, less
-    the chords of K_n that cross each edge of H, plus the crossings of H.
-    So the bound is that count on the placed edges, plus the future pairs
-    and the residual capacity, less half the least weight each vertex's free
-    stubs can take (its r cheapest edges at vertex 0), rounded up.  At a
-    complete H the bound is its G's crossing count.
-    """
-    all_chords = list(combinations(range(n), 2))
+    base = list(combinations(range(n), 2)) if complement else []
 
     def weight(chord):
-        return sum(interleave(chord, other) for other in all_chords)
+        return sum(interleave(chord, other) for other in base)
 
     def g_neighbours(v):
-        h = {a + b - v for a, b in stack if v in (a, b)}
-        return [x for x in range(n) if x != v and x not in h]
+        walked = {a + b - v for a, b in stack if v in (a, b)}
+        return [x for x in range(n) if x != v and (x in walked) != complement]
 
     own = g_neighbours(0)
     for v in stack[-1]:
@@ -161,9 +139,10 @@ def complement_prune_decision(n, d, stack, remaining, best):
         for f in dihedral_maps(n):
             if f(v) == 0 and sorted(f(x) for x in g_neighbours(v)) < own:
                 return True
+    base_crossings = sum(interleave(p, q) for p, q in combinations(base, 2))
     crossings = sum(interleave(p, q) for p, q in combinations(stack, 2))
-    value = comb(n, 4) - sum(weight(e) for e in stack) + crossings
-    left = n * (n - 1 - d) // 2 - len(stack)
+    value = base_crossings - sum(weight(e) for e in stack) + crossings
+    left = n * (n - 1 - d if complement else d) // 2 - len(stack)
     pairs = left * (left - 1) // 2 - sum(r * (r - 1) // 2 for r in remaining)
     cheapest = sorted(weight((0, y)) for y in range(1, n))
     owed = sum(sum(cheapest[:r]) for r in remaining)

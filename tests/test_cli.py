@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, exit codes, and output stability."""
 
+import os
 from pathlib import Path
 
 import pytest
@@ -254,10 +255,23 @@ class TestExitCodes:
                 ("construct", "starlike", "--n", "6", "--d", "8"),
                 "need 2 <= d <= n-1, got d=8 for n=6",
             ),
+            (
+                ("render", "s.drw", "-o", "x.svg", "--dashed", "0-x"),
+                "bad edge '0-x', expected like 0-3",
+            ),
+            (
+                ("render", "s.drw", "-o", "x.svg", "--dashed", "2-2"),
+                "bad edge '2-2': endpoints must differ",
+            ),
         ],
     )
-    def test_argument_error_line(self, capsys, argv, line):
+    def test_argument_error_line(self, capsys, tmp_path, monkeypatch, argv, line):
+        # the render rows read s.drw from the working directory; a refused
+        # command writes nothing there
+        monkeypatch.chdir(tmp_path)
+        run_cli(capsys, "construct", "star", "--n", "5", "--d", "2", "-o", "s.drw")
         assert run_cli(capsys, *argv) == (2, "", f"error: {line}\n")
+        assert os.listdir() == ["s.drw"]
 
     def test_probe_cap(self, capsys):
         argv = ("search", "--mode", "probe", "--n", str(PROBE_CAP + 1), "--d", "4")
@@ -310,10 +324,11 @@ class TestExitCodes:
         assert good in text
         drw.write_text(text.replace(good, bad))
         argv = [command[0], str(drw)] + command[1:]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        reason = {
+            "\n2 7\n": "edge '2 7' names a vertex outside 0..3",
+            "\n1 0 1 1\n": "zero denominator in point line '1 0 1 1'",
+        }[bad]
+        assert run_cli(capsys, *argv) == (2, "", f"error: drawing {drw}: {reason}\n")
 
     @pytest.mark.parametrize(
         "good, bad, message",
@@ -324,6 +339,8 @@ class TestExitCodes:
             (b"drawing v1", b"drawing v9", "missing 'drawing v1' header"),
             (b"\n0 2\n0 3\n", b"\n0 3\n0 2\n", "edges must be strictly increasing"),
             (b"\n4 4\n", b"\n4 -4\n", "negative count in size line '4 -4'"),
+            (b"\n0 2\n0 3\n", b"\n0 3\n", "expected 4 point and 4 edge lines, got 7"),
+            (b"\n0 3\n", b"\n2 3\n", "edge list is not regular, degrees [1, 2, 3]"),
         ],
     )
     def test_drawing_error_names_the_file(self, capsys, tmp_path, good, bad, message):
@@ -341,20 +358,16 @@ class TestExitCodes:
         # parser from allocating a million-entry degree list
         drw = tmp_path / "negative.drw"
         drw.write_text("drawing v1\n1000000 -1000000\n")
-        code, out, err = run_cli(capsys, "count", str(drw))
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert "negative" in err
+        reason = "negative count in size line '1000000 -1000000'"
+        assert run_cli(capsys, "count", str(drw)) == (2, "", f"error: drawing {drw}: {reason}\n")
 
     def test_dashed_vertex_out_of_range(self, capsys, tmp_path):
         drw = str(tmp_path / "s5.drw")
         run_cli(capsys, "construct", "star", "--n", "5", "--d", "2", "-o", drw)
         svg = tmp_path / "x.svg"
         code, out, err = run_cli(capsys, "render", drw, "-o", str(svg), "--dashed", "0-9")
-        assert code == 2
-        assert out == "" and not svg.exists()
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", "error: dashed edge 0-9 names a vertex outside 0..4\n")
+        assert not svg.exists()
 
     def test_starlike_deletion_fault(self, capsys, monkeypatch):
         # a deletion pattern that drops one edge too many must end in the

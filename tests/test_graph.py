@@ -266,7 +266,10 @@ class TestSerialization:
         [(b"\n1 2\n", b"\n1 2 5\n", "bad edge line '1 2 5'"),
          (b"\n1 2\n", b"\n1 \xff\n", "not UTF-8 text"),
          (b"regular-graph v1", b"regular-graph v9", "missing 'regular-graph v1' header"),
-         (b"\n4 2\n", b"\n4 -2\n", "negative count in size line '4 -2'")],
+         (b"\n4 2\n", b"\n4 -2\n", "negative count in size line '4 -2'"),
+         (b"\n0 3\n", b"\n", "expected 4 edge lines, got 3"),
+         (b"\n2 3\n", b"\n2 9\n", "bad edge (2, 9)"),
+         (b"\n2 3\n", b"\n1 3\n", "vertices [1, 2] do not have degree 2")],
     )
     def test_load_error_names_the_file(self, tmp_path, good, bad, message):
         path = tmp_path / "bad.graph"

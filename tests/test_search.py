@@ -58,7 +58,6 @@ from maxcross.search import (
     write_shard_checkpoint,
 )
 from reference import (
-    complement_prune_decision,
     dihedral_relabelings,
     keeps_dihedral_representative,
     kept_stars_by_tuples,
@@ -89,59 +88,33 @@ def _kept_stream(n, d):
     ]
 
 
-def _record_searched_stars(monkeypatch):
-    """Prefixes convex_max passes to _search_shard, in call order."""
+def _record_search(monkeypatch):
+    """One [prefix, hook calls, cuts] per shard convex_max searches
+    in-process, in call order; every search node, shard roots and leaves
+    included, is one call of the prune hook the search hands to lex_fill."""
     import maxcross.search as search
 
-    searched = []
-    original = search._search_shard
+    shards = []
+    search_shard, fill = search._search_shard, search.lex_fill
 
-    def spy(n, d, prefix, floor):
-        searched.append(prefix)
-        return original(n, d, prefix, floor)
+    def recorded(n, d, prefix, floor):
+        shards.append([prefix, 0, 0])
+        return search_shard(n, d, prefix, floor)
 
-    monkeypatch.setattr(search, "_search_shard", spy)
-    return searched
+    def counted_fill(n, d, prefix, prune):
+        record = shards[-1]
 
-
-def _count_prune_calls(monkeypatch):
-    """[hook calls, cuts] of every prune hook the search hands to lex_fill."""
-    import maxcross.search as search
-
-    counts = [0, 0]
-    original = search.lex_fill
-
-    def spy(n, d, prefix, prune):
         def counted(stack, remaining):
             cut = prune(stack, remaining)
-            counts[0] += 1
-            counts[1] += cut
+            record[1] += 1
+            record[2] += cut
             return cut
 
-        return original(n, d, prefix, counted)
+        return fill(n, d, prefix, counted)
 
-    monkeypatch.setattr(search, "lex_fill", spy)
-    return counts
-
-
-def _record_shard_work(monkeypatch):
-    """Prefixes convex_max passes to _search_shard, and [hook calls, cuts]
-    of each, in call order."""
-    import maxcross.search as search
-
-    counts = _count_prune_calls(monkeypatch)
-    searched = _record_searched_stars(monkeypatch)
-    spy = search._search_shard
-    work = []
-
-    def per_shard(n, d, prefix, floor):
-        before = counts[:]
-        outcome = spy(n, d, prefix, floor)
-        work.append([counts[0] - before[0], counts[1] - before[1]])
-        return outcome
-
-    monkeypatch.setattr(search, "_search_shard", per_shard)
-    return searched, work
+    monkeypatch.setattr(search, "_search_shard", recorded)
+    monkeypatch.setattr(search, "lex_fill", counted_fill)
+    return shards
 
 
 class TestConvexMax:
@@ -180,9 +153,10 @@ class TestConvexMax:
         # bound that is too tight anywhere shows as a wrong shard maximum or
         # witness among the graphs the reference predicate keeps; a star that
         # convex_max does not search must start no kept graph at all
-        searched = _record_searched_stars(monkeypatch)
+        shards = _record_search(monkeypatch)
         convex_max(n, d)
         monkeypatch.undo()
+        searched = [prefix for prefix, _, _ in shards]
         assert searched
         for prefix in shard_prefixes(n, d):
             shard = [(e, total) for e, total in _kept_stream(n, d) if e[:d] == prefix]
@@ -218,8 +192,9 @@ class TestConvexMax:
         assert shard_prefixes(9, 4)[24] == prefix
         graph = RegularGraph(9, 4, next(lex_fill(9, 4, prefix)))
         assert not keeps_dihedral_representative(graph)
-        searched = _record_searched_stars(monkeypatch)
+        shards = _record_search(monkeypatch)
         convex_max(9, 4, checkpoint_dir=str(tmp_path))
+        searched = [prefix for prefix, _, _ in shards]
         assert searched and prefix not in searched
         names = os.listdir(tmp_path)
         assert len(names) == len(searched) and "shard-24.ckpt" not in names
@@ -265,19 +240,33 @@ class TestConvexMax:
                 shared = sum(r * (r - 1) // 2 for r in free)
                 assert crossed <= (m - k) * (m - k - 1) // 2 - shared, (graph.edges, k)
 
-    @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
-    def test_residual_capacity_matches_reference(self, n, d, monkeypatch):
+    @pytest.mark.parametrize(
+        "n,d,complement",
+        [(7, 4, False), (8, 3, False), (8, 4, False), (8, 4, True), (8, 5, True), (8, 6, True)],
+        ids=["7-4", "8-3", "8-4", "8-4-H", "8-5-H", "8-6-H"],
+    )
+    def test_residual_capacity_matches_reference(self, n, d, complement, monkeypatch):
         # the hook's cut at every node must equal the decision rebuilt from the
-        # dihedral predicate, the future-pair bound and the stack-based
-        # capacity, with best the largest kept leaf so far: the capacity pass
-        # stops once it reaches the slack, which must not change a cut.  The
-        # bound is exact one edge before a leaf, so at a leaf the cut is the
-        # whole graph's dihedral verdict alone
+        # dihedral predicate, the future-pair bound, the owed weight and the
+        # stack-based capacity, with best the largest kept G so far: the
+        # capacity pass stops once it reaches the slack, which must not change
+        # a cut.  At a leaf the cut is G's dihedral verdict or its count below
+        # best; in G the bound is exact one edge before a leaf, so no leaf
+        # below best is reached, while in H, with best at the lower bound,
+        # some are.  The -H cells walk H = K_n - G; (8, 4) is forced into it:
+        # its degree 3 there makes the owed weight positive, while up to 2
+        # free stubs the cheapest edges, the sides (0, 1) and (0, n - 1), weigh 0
         import maxcross.search as search
 
+        monkeypatch.setattr(search, "_searches_complement", lambda n, d: complement)
         original = search.lex_fill
         order = ConvexOrder.identity(n)
-        m = n * d // 2
+        degree = n - 1 - d if complement else d
+
+        def in_g(edges):
+            walked = RegularGraph(n, degree, tuple(edges))
+            return walked.complement() if complement else walked
+
         decisions = Counter()
         leaves = Counter()
         for floor in (0, best_known(n, d).lower):
@@ -285,28 +274,32 @@ class TestConvexMax:
                 best = floor
 
                 def spy(n_, d_, prefix_, prune):
+                    assert (n_, d_) == (n, degree)
+
                     def check(stack, remaining):
                         cut = prune(stack, remaining)
-                        expected = prune_decision(n, d, stack, remaining, best)
+                        expected = prune_decision(n, d, stack, remaining, best, complement)
                         assert cut == expected, (stack, remaining, best)
                         decisions[cut] += 1
-                        if len(stack) == m:
-                            graph = RegularGraph(n, d, tuple(stack))
-                            assert cut != keeps_dihedral_representative(graph), stack
-                            leaves[cut] += 1
+                        if not any(remaining):
+                            graph = in_g(stack)
+                            kept = keeps_dihedral_representative(graph)
+                            below = crossings_convex(graph, order).total < best
+                            assert cut == (not kept or below), stack
+                            assert complement or not below, stack
+                            leaves[kept, below] += 1
                         return cut
 
                     nonlocal best
                     for edges in original(n_, d_, prefix_, check):
-                        graph = RegularGraph(n, d, edges)
-                        if keeps_dihedral_representative(graph):
-                            best = max(best, crossings_convex(graph, order).total)
+                        best = max(best, crossings_convex(in_g(edges), order).total)
                         yield edges
 
                 monkeypatch.setattr(search, "lex_fill", spy)
                 assert _search_shard(n, d, prefix, floor)[0] == best
         assert decisions[True] and decisions[False]
-        assert leaves[True] and leaves[False]
+        assert leaves[True, False] and leaves[False, False]
+        assert leaves[True, True] or not complement
 
     def test_determinism_across_workers(self, monkeypatch):
         import maxcross.search as search
@@ -375,9 +368,9 @@ class TestConvexMax:
         # nodes offered to the prune hook and nodes it cut, shard roots and
         # leaves included; a change to the bound or the node step shows here
         # first.  (9, 6) and (11, 8) search the complement
-        counts = _count_prune_calls(monkeypatch)
+        shards = _record_search(monkeypatch)
         convex_max(n, d, long_run=True)
-        assert counts == [calls, cuts]
+        assert [sum(s[1] for s in shards), sum(s[2] for s in shards)] == [calls, cuts]
 
     @pytest.mark.parametrize(
         "job,searched,root_cut",
@@ -390,13 +383,13 @@ class TestConvexMax:
         # shards searched, and those of them that end at their root's single
         # hook call, on the `exhaustive` benchmark cells and the table's
         # searches; a change to the star rule or to the root step shows here
-        stars, work = _record_shard_work(monkeypatch)
+        shards = _record_search(monkeypatch)
         if job == "table":
             reproduce_table(10)
         else:
             convex_max(*job, long_run=True)
-        assert len(stars) == len(work) == searched
-        assert work.count([1, 1]) == root_cut
+        assert len(shards) == searched
+        assert [work for _, *work in shards].count([1, 1]) == root_cut
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_star_keys_keep_the_tuple_rule_stars(self, n):
@@ -477,55 +470,6 @@ class TestComplementSearch:
         # of the chord tables only the fields checked above differ
         assert in_g[5:9] == in_h[5:9]
 
-    @pytest.mark.parametrize("n,d", [(8, 4), (8, 5), (8, 6)])
-    def test_hook_matches_reference(self, n, d, monkeypatch):
-        # the hook walks H = K_n - G; its cut at every node must equal the
-        # decision rebuilt from the definitions, with best the largest kept
-        # G so far.  At a complete H the cut is G's dihedral verdict or its
-        # count below best, and with best at the lower bound the second cuts.
-        # (8, 4) is forced into H: its degree 3 there makes the owed weight
-        # positive, while up to 2 free stubs the cheapest edges, the sides
-        # (0, 1) and (0, n - 1), weigh 0
-        import maxcross.search as search
-
-        monkeypatch.setattr(search, "_searches_complement", lambda n, d: True)
-        original = search.lex_fill
-        order = ConvexOrder.identity(n)
-        spare = n - 1 - d
-        m = n * spare // 2
-        decisions = Counter()
-        leaves = Counter()
-        for floor in (0, best_known(n, d).lower):
-            for prefix in shard_prefixes(n, d):
-                best = floor
-
-                def spy(n_, d_, prefix_, prune):
-                    assert (n_, d_) == (n, spare)
-
-                    def check(stack, remaining):
-                        cut = prune(stack, remaining)
-                        expected = complement_prune_decision(n, d, stack, remaining, best)
-                        assert cut == expected, (stack, remaining, best)
-                        decisions[cut] += 1
-                        if len(stack) == m:
-                            graph = RegularGraph(n, spare, tuple(stack)).complement()
-                            kept = keeps_dihedral_representative(graph)
-                            below = crossings_convex(graph, order).total < best
-                            assert cut == (not kept or below), stack
-                            leaves[kept, below] += 1
-                        return cut
-
-                    nonlocal best
-                    for edges in original(n_, d_, prefix_, check):
-                        graph = RegularGraph(n, spare, edges).complement()
-                        best = max(best, crossings_convex(graph, order).total)
-                        yield edges
-
-                monkeypatch.setattr(search, "lex_fill", spy)
-                assert _search_shard(n, d, prefix, floor)[0] == best
-        assert decisions[True] and decisions[False]
-        assert leaves[True, True] and leaves[True, False] and leaves[False, False]
-
     def test_cell_state_follows_the_space_chosen_at_call_time(self, monkeypatch):
         # the per-cell state is keyed on the space as well as (n, d): once a
         # shard of (8, 4) has been searched in G, forcing the complement
@@ -588,6 +532,22 @@ def _real_shard(index):
     n, d = 6, 2
     prefix = shard_prefixes(n, d)[index]
     return (n, d, index, prefix), _search_shard(n, d, prefix, best_known(n, d).lower)
+
+
+def _resume_damaged(capsys, tmp_path, shard, damage):
+    """Run `search --n 6 --d 2` with checkpoints in tmp_path, replace lines
+    of shard's file by damage's {line index: text}, and run it again:
+    (the file's path, exit code, stdout, stderr) of the second run."""
+    argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
+    assert main(argv) == 0
+    path = tmp_path / f"shard-{shard}.ckpt"
+    lines = path.read_text().splitlines()
+    for line, text in damage.items():
+        lines[line] = text
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = main(argv)
+    return (path, code, *capsys.readouterr())
 
 
 class TestShardScheduling:
@@ -711,28 +671,6 @@ class TestCheckpoints:
             assert result.graphs_examined == full.graphs_examined
 
     @pytest.mark.parametrize(
-        "best, witness",
-        [
-            ("999", "0-1 0-2 1-3 2-4 3-5 4-5"),  # recount is not 999
-            ("999", "-"),  # above the floor without a witness
-            ("7", "0-1 0-2"),  # not a 2-regular graph
-            ("7", "0-2 0-3 1-4 1-5 2-4 3-5"),  # another shard's witness
-        ],
-    )
-    def test_tampered_checkpoint_rejected(self, capsys, tmp_path, best, witness):
-        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
-        assert main(argv) == 0
-        path = tmp_path / "shard-0.ckpt"
-        lines = path.read_text().splitlines()
-        assert lines[6:] == ["best 7", "witness -"]
-        path.write_text("\n".join(lines[:6] + [f"best {best}", f"witness {witness}"]))
-        capsys.readouterr()
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err.startswith("error: checkpoint ") and err.count("\n") == 1
-
-    @pytest.mark.parametrize(
         "line, replacement, message",
         [
             (1, "", "missing field 'n'"),
@@ -769,59 +707,41 @@ class TestCheckpoints:
         assert str(caught.value) == f"checkpoint {path}: not UTF-8 text"
 
     @pytest.mark.parametrize(
-        "line, replacement, name",
-        [(5, "examined x", "examined"), (7, "witness 0-2 0-3 1-4-1 1-5 2-4 3-5", "witness")],
+        "shard, damage, reason",
+        [
+            (0, {6: "best 999"}, "best 999 without a witness"),
+            (0, {6: "best 7", 7: "witness 0-1 0-2 1-3 2-4 3-5 4-5"},
+             "witness recorded with examined 0"),
+            (4, {3: "shard 3"}, "belongs to a different run"),
+            (4, {5: "examined x"}, "bad field examined"),
+            (4, {5: "examined -1"}, "negative examined count"),
+            (4, {5: "examined 0"}, "witness recorded with examined 0"),
+            (4, {5: "examined 211"}, "examined 211 above the limit 210"),
+            (4, {7: "witness 0-2 0-3 1-4-1 1-5 2-4 3-5"}, "bad field witness"),
+            (4, {7: "witness 0-2 0-3"}, "bad witness: expected 6 edges, got 2"),
+            (4, {7: "witness 0-1 0-2 1-3 2-4 3-5 4-5"},
+             "witness does not extend the shard prefix"),
+            (4, {6: "best 999"}, "best 999 but the witness has 7 crossings"),
+            (4, {6: "best 4", 7: "witness 0-2 0-3 1-4 1-5 2-3 4-5"},
+             "best 4 outside the bounds [7, 7]"),
+        ],
     )
-    def test_malformed_field_named_on_stderr(self, capsys, tmp_path, line, replacement, name):
-        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
-        assert main(argv) == 0
-        path = tmp_path / "shard-4.ckpt"
-        lines = path.read_text().splitlines()
-        lines[line] = replacement
-        path.write_text("\n".join(lines) + "\n")
-        capsys.readouterr()
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: checkpoint {path}: bad field {name}\n"
-
-    def test_witness_without_examined_graphs_rejected(self, capsys, tmp_path):
-        # the search counts a leaf before keeping it as the witness, so a
-        # witness beside examined 0 would silently lower graphs_examined
-        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
-        assert main(argv) == 0
-        path = tmp_path / "shard-4.ckpt"
-        lines = path.read_text().splitlines()
-        assert lines[5] != "examined 0" and lines[7] != "witness -"
-        path.write_text("\n".join(lines[:5] + ["examined 0"] + lines[6:]) + "\n")
-        capsys.readouterr()
-        assert main(argv) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: checkpoint {path}: witness recorded with examined 0\n"
-
-    @pytest.mark.parametrize("examined, code", [(210, 0), (211, 2)])
-    def test_examined_above_what_a_shard_holds_rejected(
-        self, capsys, tmp_path, examined, code
+    def test_damaged_checkpoint_exits_2_with_one_line(
+        self, capsys, tmp_path, shard, damage, reason
     ):
+        # each row reaches its own re-check through the CLI; the witness rows
+        # damage shard 4, which holds the run's witness, so that no earlier
+        # check refuses the file first
+        path, code, out, err = _resume_damaged(capsys, tmp_path, shard, damage)
+        assert (code, out, err) == (2, "", f"error: checkpoint {path}: {reason}\n")
+
+    def test_examined_up_to_what_a_shard_holds_is_trusted(self, capsys, tmp_path):
         # a shard of (6, 2) holds at most C(C(5, 2), 4) = 210 graphs, the edge
         # sets on vertices 1..5 that can complete vertex 0's star; a count up
         # to that is trusted, since only a new search could refute it
-        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
-        assert main(argv) == 0
-        path = tmp_path / "shard-4.ckpt"
-        lines = path.read_text().splitlines()
-        assert lines[5] == "examined 1"
-        path.write_text("\n".join(lines[:5] + [f"examined {examined}"] + lines[6:]) + "\n")
-        capsys.readouterr()
-        assert main(argv) == code
-        out, err = capsys.readouterr()
-        if code:
-            assert out == ""
-            message = f"examined {examined} above the limit 210"
-            assert err == f"error: checkpoint {path}: {message}\n"
-        else:
-            assert f"graphs_examined {examined}" in out.splitlines()
+        _, code, out, _ = _resume_damaged(capsys, tmp_path, 4, {5: "examined 210"})
+        assert code == 0
+        assert "graphs_examined 210" in out.splitlines()
 
     def test_checkpoints_without_any_witness_rejected(self, tmp_path):
         convex_max(6, 2, checkpoint_dir=str(tmp_path))
