@@ -18,7 +18,9 @@ and the 17 cells with n <= 8 that `reproduce_table(10)` searches.
 
 Each line also carries a digest of what the timed calls return, so runs on
 two trees can be checked to compute the same thing.  Point PYTHONPATH at
-another checkout's src to measure that tree.
+another checkout's src to measure that tree.  A tree older than
+`search._kept_stars` is measured with `git show 71b3795:scripts/shard_cost.py`,
+whose star filter falls back to the sorted-tuple rule such trees ran inline.
 """
 
 import argparse
@@ -39,22 +41,6 @@ TABLE_CELLS = tuple(
 PASS_CELLS = tuple((n, d) for n, d, _ in SEARCHED) + TABLE_CELLS
 
 
-def star_filter():
-    """The convex search's star filter: (index, prefix) of the kept stars."""
-    if hasattr(search, "_kept_stars"):
-        return search._kept_stars
-
-    # before _kept_stars, convex_max ran this sorted-tuple rule inline
-    def kept(n, d):
-        return [
-            (index, prefix)
-            for index, prefix in enumerate(shard_prefixes(n, d))
-            if tuple(sorted(n - w for _, w in prefix)) >= tuple(w for _, w in prefix)
-        ]
-
-    return kept
-
-
 def root_cut_shards() -> list[tuple[int, int, tuple, int]]:
     """(n, d, prefix, floor) of each shard of the pass that ends at its root
     hook call, found by counting the hook calls of each shard once."""
@@ -62,7 +48,7 @@ def root_cut_shards() -> list[tuple[int, int, tuple, int]]:
     with hook_calls() as calls:
         for n, d in PASS_CELLS:
             floor = best_known(n, d).lower
-            for _, prefix in star_filter()(n, d):
+            for _, prefix in search._kept_stars(n, d):
                 search._search_shard(n, d, prefix, floor)
                 if calls[-1] == 1:
                     shards.append((n, d, prefix, floor))
@@ -74,10 +60,8 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
 
-    kept = star_filter()
-
     def stars():
-        return [kept(n, d) for n, d in PASS_CELLS]
+        return [search._kept_stars(n, d) for n, d in PASS_CELLS]
 
     count = sum(len(shard_prefixes(n, d)) for n, d in PASS_CELLS)
     print(json.dumps({

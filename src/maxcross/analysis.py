@@ -49,8 +49,9 @@ class TypeProfile:
 def endvertex_type(drawing: GeometricDrawing, edge: Edge, endpoint: int) -> int:
     """Type of `endpoint` on `edge`: min over the two halfplane counts.
 
-    Decided on the drawing's int grid.  Raises DegeneracyError when another
-    incident edge lies on the edge's line, which general position rules out.
+    Decided on the drawing's int grid.  Raises ValueError unless endpoint
+    ends an edge of the drawing, and DegeneracyError when another incident
+    edge lies on the edge's line, which general position rules out.
     """
     u, v = edge
     if endpoint == u:
@@ -59,9 +60,12 @@ def endvertex_type(drawing: GeometricDrawing, edge: Edge, endpoint: int) -> int:
         other = u
     else:
         raise ValueError(f"vertex {endpoint} is not an endpoint of {edge}")
+    adjacency = drawing.graph.adjacency
+    if not (0 <= endpoint < len(adjacency) and other in adjacency[endpoint]):
+        raise ValueError(f"{edge} is not an edge of the drawing")
     pos = drawing.grid
     left = 0
-    for w in drawing.graph.adjacency[endpoint]:
+    for w in adjacency[endpoint]:
         side = orientation(pos[endpoint], pos[other], pos[w])
         if side == COLLINEAR and w != other:
             raise DegeneracyError(
@@ -123,13 +127,13 @@ def lemma_coverage_check(drawing: GeometricDrawing) -> tuple[int, int] | None:
 
 @dataclass(frozen=True)
 class AccountingReport:
-    """Measured versus guaranteed non-crossing pair counts of a drawing.
+    """Non-crossing pair count of a drawing versus its type accounting.
 
-    noncrossing (N) is the measured count of non-adjacent edge pairs that
-    do not cross, accounting (M) the type-derived total of guaranteed
-    non-crossing incidences, pair_count (P) the number of non-adjacent
-    pairs.  crossings = P - N always; N >= M/2 because each guaranteed
-    pair is counted by at most two edges.
+    pair_count (P) counts non-adjacent edge pairs, crossings those that cross,
+    and noncrossing (N) is P - crossings by definition: identity_holds only
+    restates it (the tests check the count against a pairwise reference).
+    accounting (M) is the type-derived total of guaranteed non-crossing
+    incidences; N >= M/2 as each guaranteed pair is counted by <= two edges.
     """
 
     noncrossing: int

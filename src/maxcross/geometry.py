@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import DegeneracyError
-from .graph import Edge, RegularGraph, load_text, sized_body, write_utf8
+from .graph import Edge, RegularGraph, edge_lines, load_text, sized_body, write_utf8
 
 DRAWING_FORMAT_HEADER = "drawing v1"
 
@@ -256,22 +256,10 @@ def drawing_from_text(text: str) -> GeometricDrawing:
         if xd == 0 or yd == 0:
             raise ValueError(f"zero denominator in point line {line!r}")
         positions.append(Point(Fraction(xn, xd), Fraction(yn, yd)))
-    edges = []
-    degree = [0] * n
-    for line in body[n:]:
-        try:
-            u, v = map(int, line.split())
-        except ValueError as exc:
-            raise ValueError(f"bad edge line {line!r}") from exc
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge {line!r} names a vertex outside 0..{n - 1}")
-        edges.append((u, v))
-        degree[u] += 1
-        degree[v] += 1
-    degrees = set(degree)
-    if len(degrees) != 1:
-        raise ValueError(f"edge list is not regular, degrees {sorted(degrees)}")
-    graph = RegularGraph(n, degrees.pop(), tuple(edges))
+    edges = edge_lines(body[n:])
+    if n and 2 * m % n:
+        raise ValueError(f"edge list is not regular: {m} edges on {n} vertices")
+    graph = RegularGraph(n, 2 * m // n if n else 0, edges)  # it refuses n < 3
     return GeometricDrawing(graph, tuple(positions))
 
 

@@ -304,14 +304,20 @@ def graph_from_text(text: str) -> RegularGraph:
     expected = n * d // 2
     if len(body) != expected:
         raise ValueError(f"expected {expected} edge lines, got {len(body)}")
+    return RegularGraph(n, d, edge_lines(body))
+
+
+def edge_lines(lines: list[str]) -> tuple[Edge, ...]:
+    """The (u, v) pairs of the 'u v' edge lines of a graph or drawing file,
+    unchecked: the RegularGraph built from them is their one validator."""
     edges = []
-    for line in body:
+    for line in lines:
         try:
             u, v = map(int, line.split())
         except ValueError as exc:
             raise ValueError(f"bad edge line {line!r}") from exc
         edges.append((u, v))
-    return RegularGraph(n, d, tuple(edges))
+    return tuple(edges)
 
 
 def sized_body(text: str, header: str, kind: str) -> tuple[int, int, list[str]]:

@@ -61,6 +61,14 @@ class TestEndvertexType:
         with pytest.raises(ValueError):
             endvertex_type(drawing, (0, 1), 3)
 
+    @pytest.mark.parametrize("edge", [(0, 2), (0, 9)])
+    def test_edge_must_be_an_edge(self, edge):
+        # a chord of C5, and a pair naming a vertex the drawing lacks
+        drawing = parabola_drawing(make_cycle(5))
+        with pytest.raises(ValueError) as caught:
+            endvertex_type(drawing, edge, 0)
+        assert str(caught.value) == f"{edge} is not an edge of the drawing"
+
 
 class TestTypeProfile:
     def test_convex_k4(self):

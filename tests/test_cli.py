@@ -16,6 +16,8 @@ from maxcross.graph import RegularGraph
 from maxcross.search import PROBE_CAP
 
 DATA = Path(__file__).parent / "data"
+# the size line, points and edges of `construct starlike --n 4 --d 2`
+STARLIKE_BODY = b"\n4 4\n0 1 0 1\n1 1 1 1\n2 1 4 1\n3 1 9 1\n0 2\n0 3\n1 2\n1 3\n"
 
 
 def run_cli(capsys, *argv):
@@ -325,22 +327,35 @@ class TestExitCodes:
         drw.write_text(text.replace(good, bad))
         argv = [command[0], str(drw)] + command[1:]
         reason = {
-            "\n2 7\n": "edge '2 7' names a vertex outside 0..3",
+            "\n2 7\n": "bad edge (2, 7)",
             "\n1 0 1 1\n": "zero denominator in point line '1 0 1 1'",
         }[bad]
         assert run_cli(capsys, *argv) == (2, "", f"error: drawing {drw}: {reason}\n")
 
     @pytest.mark.parametrize(
         "good, bad, message",
+        # every damaged drawing file but the two of test_bad_drawing_file
         [
             (b"\n1 1 1 1\n", b"\n1 1 0 q\n", "bad point line '1 1 0 q'"),
             (b"\n1 2\n", b"\n1 2 5\n", "bad edge line '1 2 5'"),
             (b"\n1 2\n", b"\n1 \xff\n", "not UTF-8 text"),
             (b"drawing v1", b"drawing v9", "missing 'drawing v1' header"),
+            (b"drawing v1", b"nope", "missing 'drawing v1' header"),
             (b"\n0 2\n0 3\n", b"\n0 3\n0 2\n", "edges must be strictly increasing"),
             (b"\n4 4\n", b"\n4 -4\n", "negative count in size line '4 -4'"),
+            # n + m matches the empty body, so only the sign check refuses it
+            (STARLIKE_BODY, b"\n1000000 -1000000\n",
+             "negative count in size line '1000000 -1000000'"),
             (b"\n0 2\n0 3\n", b"\n0 3\n", "expected 4 point and 4 edge lines, got 7"),
-            (b"\n0 3\n", b"\n2 3\n", "edge list is not regular, degrees [1, 2, 3]"),
+            (b"\n1 3\n", b"\n", "expected 4 point and 4 edge lines, got 7"),
+            (b"\n4 4\n0 1 0 1\n", b"\n3 4\n", "edge list is not regular: 4 edges on 3 vertices"),
+            # the rest is RegularGraph's, for the degree d = 2m/n
+            (STARLIKE_BODY, b"\n0 0\n", "need n >= 3, got n=0"),
+            (STARLIKE_BODY, b"\n2 1\n0 1 0 1\n1 1 1 1\n0 1\n", "need n >= 3, got n=2"),
+            (STARLIKE_BODY, b"\n4 0\n0 1 0 1\n1 1 1 1\n2 1 4 1\n3 1 9 1\n",
+             "degree 0 out of range for n=4"),
+            (b"\n1 2\n", b"\n-1 2\n", "bad edge (-1, 2)"),
+            (b"\n1 3\n", b"\n2 3\n", "vertices [1, 2] do not have degree 2"),
         ],
     )
     def test_drawing_error_names_the_file(self, capsys, tmp_path, good, bad, message):
@@ -352,14 +367,6 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == f"error: drawing {drw}: {message}\n"
-
-    def test_negative_count_in_size_line(self, capsys, tmp_path):
-        # n + m matches the empty body, so only the sign check stops the
-        # parser from allocating a million-entry degree list
-        drw = tmp_path / "negative.drw"
-        drw.write_text("drawing v1\n1000000 -1000000\n")
-        reason = "negative count in size line '1000000 -1000000'"
-        assert run_cli(capsys, "count", str(drw)) == (2, "", f"error: drawing {drw}: {reason}\n")
 
     def test_dashed_vertex_out_of_range(self, capsys, tmp_path):
         drw = str(tmp_path / "s5.drw")

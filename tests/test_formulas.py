@@ -222,3 +222,24 @@ class TestBestKnown:
         report = best_known(n, d)
         assert 0 <= report.lower <= report.upper
         assert report.exact == (report.lower == report.upper)
+
+
+@pytest.mark.parametrize(
+    "formula, args, text",
+    [
+        (exact_cycle, (2,), "need n >= 3, got n=2"),
+        (exact_r_n_2_even, (5,), "need even n >= 4, got n=5"),
+        (exact_complete, (2,), "need n >= 3, got n=2"),
+        (exact_r_n_nminus2, (5,), "need even n >= 4, got n=5"),
+        (removal_count, (2, 1), "need n >= 3, got n=2"),
+        (removal_count, (6, 4), "need 1 <= k <= 3, got k=4"),
+        (c_function, (1, 2), "need d >= 3, got d=2"),
+        (c_function, (2, 4), "need 0 <= s <= 1, got s=2"),
+    ],
+)
+def test_range_check(formula, args, text):
+    # outside its range a closed form returns a wrong value, not an error:
+    # exact_r_n_2_even(5) would be 3 and removal_count(6, 4) would be -36
+    with pytest.raises(ValueError) as caught:
+        formula(*args)
+    assert str(caught.value) == text

@@ -257,17 +257,18 @@ class TestSerialization:
         text = graph_to_text(make_cycle(4)) + "# trailing note\n"
         assert graph_from_text(text) == make_cycle(4)
 
-    def test_bad_header(self):
-        with pytest.raises(ValueError):
-            graph_from_text("bogus v9\n1 1\n0 1\n")
-
     @pytest.mark.parametrize(
         "good, bad, message",
+        # every damaged graph file, on C4: '4 2' then edges 0 1, 0 3, 1 2, 2 3
         [(b"\n1 2\n", b"\n1 2 5\n", "bad edge line '1 2 5'"),
          (b"\n1 2\n", b"\n1 \xff\n", "not UTF-8 text"),
          (b"regular-graph v1", b"regular-graph v9", "missing 'regular-graph v1' header"),
+         (b"regular-graph v1", b"bogus v9", "missing 'regular-graph v1' header"),
          (b"\n4 2\n", b"\n4 -2\n", "negative count in size line '4 -2'"),
          (b"\n0 3\n", b"\n", "expected 4 edge lines, got 3"),
+         # the rest is RegularGraph's, the one validator of a file's edge list
+         (b"\n4 2\n0 1\n0 3\n1 2\n2 3\n", b"\n4 0\n", "degree 0 out of range for n=4"),
+         (b"\n4 2\n", b"\n5 3\n0 2\n1 3\n2 4\n", "no d-regular graph exists for n=5, d=3"),
          (b"\n2 3\n", b"\n2 9\n", "bad edge (2, 9)"),
          (b"\n2 3\n", b"\n1 3\n", "vertices [1, 2] do not have degree 2")],
     )

@@ -353,7 +353,15 @@ class TestConvexMax:
         blocks = ["".join(lines[i : i + 6]) for i in range(0, len(lines), 6)]
         assert len(blocks) == 44
         for expected in blocks:
-            n, d = (int(line.split()[1]) for line in expected.splitlines()[:2])
+            fields = dict(line.split(" ", 1) for line in expected.splitlines())
+            n, d, value = (int(fields[key]) for key in ("n", "d", "max_crossings"))
+            # every stored cell, n = 12 too: the value is the best known lower
+            # bound and its witness is a d-regular graph that recounts to it
+            witness = RegularGraph(n, d, tuple(
+                tuple(map(int, edge.split("-"))) for edge in fields["witness"].split()
+            ))
+            recount = crossings_convex(witness, ConvexOrder.identity(n)).total
+            assert value == best_known(n, d).lower == recount, (n, d)
             if n > 11:
                 continue
             argv = ["search", "--n", str(n), "--d", str(d), "--long-run"]
