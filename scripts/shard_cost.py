@@ -10,6 +10,12 @@ and the 17 cells with n <= 8 that `reproduce_table(10)` searches.
 
 - "star_us": one vertex-0 star decision, the star filter of convex_max run
   on every one of those calls, over the number of stars it decides;
+- "shard_list_us" and "shards": the decision the shard list is made by,
+  over the same stars, and the number of shards one pass searches, where
+  the pass's pool job searches (10, 3) a second time.  The
+  list is `search._searched_stars` (the dihedral rule, then the bound at
+  each star's root) where the tree has it, and `search._kept_stars` in a
+  tree older than it; the digest of this line differs between such trees;
 - "root_cut_shard_us": one shard whose root hook call cuts it, that is
   `_search_shard` from the floor on each such shard of those calls, over
   their number;
@@ -68,6 +74,22 @@ def main() -> None:
         "input": "stars", "calls": len(PASS_CELLS), "stars": count,
         "star_us": round(per_call_us(stars, args.rounds, 3) / count, 4),
         "digest": digest(stars()),
+    }), flush=True)
+
+    searched_stars = getattr(search, "_searched_stars", None)
+    floors = [best_known(n, d).lower for n, d in PASS_CELLS]
+
+    def shard_list():
+        if searched_stars is None:
+            return stars()
+        return [searched_stars(n, d, floor) for (n, d), floor in zip(PASS_CELLS, floors)]
+
+    lists = shard_list()
+    print(json.dumps({
+        "input": "shard list", "calls": len(PASS_CELLS), "stars": count,
+        "shards": sum(map(len, lists)) + len(lists[PASS_CELLS.index((10, 3))]),
+        "shard_list_us": round(per_call_us(shard_list, args.rounds, 3) / count, 4),
+        "digest": digest(lists),
     }), flush=True)
 
     shards = root_cut_shards()

@@ -26,6 +26,14 @@ The prune stays strict, so it is reached, and no graph before it in stream
 order is a maximizer, so the strictly-greater merge still reports it, also
 when some shards come from checkpoints written without this test.
 
+At a shard's root, where vertex 0's star is just placed, the prune hook's
+optimistic bound depends on the star alone, so convex_max decides it for
+every star the dihedral rule keeps before any search (_searched_stars), in
+closed form.  A star whose bound stays below the floor holds no graph that
+reaches it: it gets no shard, no pool task and no checkpoint file, and a
+file for it that an older run wrote is ignored.  Every node searched and
+every result are the same as when such a shard ended at its root.
+
 Dense cells are searched through their complement H = K_n - G.  In convex
 position every 4-set of points gives one crossing of K_n, so
 cr(G) = C(n, 4) - (sum of c(e) over the edges e of H) + cr(H), where
@@ -56,7 +64,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, compress, filterfalse
 from math import comb
-from operator import le
+from operator import getitem, itemgetter, le
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .constructions import ConvexOrder, crossings_convex, interleave_masks
@@ -166,7 +174,11 @@ def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> Shard
     C(left, 2) times less the pairs of them that meet at a vertex.  The
     capacity is summed chord by chord and the pass stops once it reaches the
     slack; every term is nonnegative, so the cut is the same as with the
-    whole sum.
+    whole sum.  At the shard's root this bound depends on the star alone,
+    and _searched_stars decides it in closed form from _search_cell's root
+    bound and root terms, so convex_max never searches a shard that this
+    hook cuts at its root.  A change to the bound must change that closed
+    form with it; a test compares the two on every kept star with n <= 14.
 
     In G a tie keeps the first witness; in H, whose stream runs in reverse
     G order, a tie replaces it.  In G no leaf below best is reached, as the
@@ -175,7 +187,7 @@ def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> Shard
     complement = _searches_complement(n, d)
     (
         degree, m, full, star, owed_rows,
-        masks, bits, pattern_bits, starts, weight, step, value, keys,
+        masks, bits, pattern_bits, starts, _, _, weight, step, value, keys,
     ) = _search_cell(n, d, complement)
     # G's star at 0 fixes H's: the partners G leaves out
     walk_prefix = tuple(filterfalse(set(prefix).__contains__, star)) if complement else prefix
@@ -282,19 +294,23 @@ def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> Shard
 
 @lru_cache(maxsize=None)
 def _search_cell(n: int, d: int, complement: bool) -> tuple[Any, ...]:
-    """What _search_shard derives from the cell and the space it walks alone,
-    built once per (n, d, space) per process; callers only read it.  The
-    space is the one _searches_complement picks at call time.
+    """What _search_shard and _searched_stars derive from the cell and the
+    space it walks alone, built once per (n, d, space) per process; callers
+    only read it.  The space is the one _searches_complement picks at call
+    time.
 
     Returns the walk's degree and edge count m, the n-bit row mask, the
     chords (0, 1), ..., (0, n - 1) at vertex 0, owed's rows for a shard
     (m + 1 of them; the prefix ones filled, the rest written before they are
-    read), the interleave mask, bit, pattern bits and weight of every chord
-    (a, b) at index a * n + b, the index of chord (a, a + 1) at index a, the
-    step owed drops by when a vertex goes down to r free stubs at index r,
-    and the objective and the pattern keys of the empty walk.  After the
-    k-th star edge vertex 0 keeps degree - k stubs and the partner
-    degree - 1, so owed drops by both steps, as in _search_shard's hook.
+    read), the interleave mask, bit and pattern bits of every chord (a, b)
+    at index a * n + b, the index of chord (a, a + 1) at index a, the root
+    bound and the root terms of _searched_stars (row j, column w: what chord
+    (0, w) adds to the bound as vertex 0's j-th partner, its capacity less
+    its weight), the weight of every chord, the step owed drops by when a
+    vertex goes down to r free stubs at index r, and the objective and the
+    pattern keys of the empty walk.  After the k-th star edge vertex 0 keeps
+    degree - k stubs and the partner degree - 1, so owed drops by both
+    steps, as in _search_shard's hook.
 
     Chord i of combinations(range(n), 2) is bit i of a chord set, so the
     chords (a, a + 1), ..., (a, n - 1) are consecutive bits.  A pattern, a
@@ -344,9 +360,22 @@ def _search_cell(n: int, d: int, complement: bool) -> tuple[Any, ...]:
     for k in range(1, degree):
         owed_rows[k] = owed_rows[k - 1] - step[degree - k] - step[degree - 1]
     star = tuple((0, w) for w in range(1, n))
+    # The hook's bound at a shard's root (_searched_stars): the root places
+    # the star's last chord, vertex 0 saturates and the partner keeps
+    # degree - 1 stubs, and left = m - degree edges are still to place.
+    lost = owed_rows[degree - 1] - step[0] - step[degree - 1]
+    left = m - degree
+    root_bound = sum(weight) // 2 + left * (left - 1) // 2 - (lost + 1) // 2
+    root_terms = tuple(
+        tuple(
+            min(degree * (w - 1) - j, degree * (n - 2 - w) + 1 + j) - weight[w]
+            for w in range(n)
+        )
+        for j in range(degree)
+    )
     return (
         degree, m, (1 << n) - 1, star, tuple(owed_rows),
-        tuple(masks), tuple(bits), tuple(pattern_bits), starts,
+        tuple(masks), tuple(bits), tuple(pattern_bits), starts, root_bound, root_terms,
         tuple(weight), step, sum(weight) // 2, keys,
     )
 
@@ -477,6 +506,40 @@ def _kept_stars(n: int, d: int) -> list[tuple[int, tuple[Edge, ...]]]:
     return list(compress(enumerate(shard_prefixes(n, d)), map(le, backward, forward)))
 
 
+def _searched_stars(n: int, d: int, floor: int) -> list[tuple[int, tuple[Edge, ...]]]:
+    """(index, prefix) of each _kept_stars(n, d) star whose shard root the
+    prune hook keeps at this floor, in index order: the shards convex_max
+    searches.  Every other star's shard would end at its root's hook call
+    with outcome (floor, None, 0).
+
+    At the root the hook's bound depends on the star alone.  With
+    w_0 < ... < w_{k-1} vertex 0's partners in the walked space (_search_shard)
+    and k its degree, the root keeps the shard iff
+
+        root_bound + sum over j of (capacity_j - weight[w_j]) >= floor,
+
+    where root_bound is the start value plus C(m - k, 2) less half the
+    weight owed once vertex 0 saturates, rounded up, and capacity_j =
+    min(k (w_j - 1) - j, k (n - 2 - w_j) + 1 + j), the smaller of the free
+    stubs strictly inside and strictly outside the chord (0, w_j).  Both
+    come from _search_cell, for the space _searches_complement picks now,
+    and must change together with the hook.  The capacity terms are
+    nonnegative, so this is the hook's "slack <= 0 or capacity >= slack";
+    its capacity pass stops early only where every later term is 0.
+    """
+    complement = _searches_complement(n, d)
+    cell = _search_cell(n, d, complement)
+    star, root_bound, root_terms = cell[3], cell[9], cell[10]
+    searched = []
+    for index, prefix in _kept_stars(n, d):
+        # G's star at 0 fixes H's: the partners G leaves out
+        walk = filterfalse(set(prefix).__contains__, star) if complement else prefix
+        # row j of root_terms pairs with the j-th partner w of an edge (0, w)
+        if root_bound + sum(map(getitem, root_terms, map(itemgetter(1), walk))) >= floor:
+            searched.append((index, prefix))
+    return searched
+
+
 def _pool_size(workers: int, tasks: int) -> int:
     """Worker processes to start: no more than asked for, cores or tasks."""
     return max(1, min(workers, os.cpu_count() or 1, tasks))
@@ -493,8 +556,13 @@ def convex_max(
     """Maximum of crossings_convex over every labeled d-regular graph.
 
     Work splits into one shard per edge set at vertex 0 that can hold a
-    kept graph; shards never share state, so results (witness and
-    graphs_examined included) are identical for any worker count.  A
+    kept graph reaching the floor, the known lower bound: the star must keep
+    the dihedral rule (_kept_stars) and the prune hook's bound at the
+    shard's root, which depends on the star alone (_searched_stars).  Other
+    stars get no shard, no pool task and no checkpoint file, and a file for
+    one of them that an older run wrote is ignored.  Shards never share
+    state, so results (witness and graphs_examined included) are identical
+    for any worker count.  A
     shard's outcome (best, witness or None, examined) is the one record that
     is searched, written and merged.  With checkpoint_dir set, the ckpt v1
     files of those shards are read and re-checked by load_shard_checkpoint
@@ -523,7 +591,7 @@ def convex_max(
     if workers < 1:
         raise ValueError(f"need workers >= 1, got {workers}")
     floor = bounds.lower
-    shards = _kept_stars(n, d)
+    shards = _searched_stars(n, d, floor)
     loaded: dict[int, ShardOutcome] = {}
     if checkpoint_dir is not None:
         os.makedirs(checkpoint_dir, exist_ok=True)

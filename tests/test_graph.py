@@ -207,6 +207,20 @@ class TestEnumeration:
             "prefix edge (1, 3) is placed while vertex 0 has free stubs"
         )
 
+    @pytest.mark.parametrize(
+        "n, d, prefix, message",
+        [
+            (6, 2, ((0, 6),), "bad prefix edge (0, 6)"),
+            (6, 2, ((0, 2), (0, 1)), "prefix edges must be strictly increasing"),
+            (6, 2, ((0, 1), (0, 2), (0, 3)), "prefix edge (0, 3) oversaturates a vertex"),
+        ],
+    )
+    def test_bad_prefix_rejected(self, n, d, prefix, message):
+        # a prefix no sorted edge list of a d-regular graph starts with
+        with pytest.raises(ValueError) as caught:
+            list(lex_fill(n, d, prefix))
+        assert str(caught.value) == message
+
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 3)])
     def test_matches_reference_walk(self, n, d):
         # a seeded random cut on both walks: equal streams and the same

@@ -1,5 +1,6 @@
 """Exhaustive convex-position search and randomized probes."""
 
+import dataclasses
 import functools
 import math
 import multiprocessing
@@ -48,6 +49,7 @@ from maxcross.search import (
     _pool_size,
     _search_cell,
     _search_shard,
+    _searched_stars,
     _searches_complement,
     convex_max,
     load_shard_checkpoint,
@@ -152,16 +154,22 @@ class TestConvexMax:
         # with floor 0 nothing but the bound and the dihedral test prunes, so a
         # bound that is too tight anywhere shows as a wrong shard maximum or
         # witness among the graphs the reference predicate keeps; a star that
-        # convex_max does not search must start no kept graph at all
+        # the dihedral rule drops must start no kept graph at all, and one
+        # that the root bound drops no kept graph reaching the floor
         shards = _record_search(monkeypatch)
         convex_max(n, d)
         monkeypatch.undo()
         searched = [prefix for prefix, _, _ in shards]
+        kept = [prefix for _, prefix in _kept_stars(n, d)]
+        floor = best_known(n, d).lower
         assert searched
         for prefix in shard_prefixes(n, d):
             shard = [(e, total) for e, total in _kept_stream(n, d) if e[:d] == prefix]
-            if prefix not in searched:
+            if prefix not in kept:
                 assert not shard, prefix
+                continue
+            if prefix not in searched:
+                assert all(total < floor for _, total in shard), prefix
                 continue
             best = max((total for _, total in shard), default=0)
             first = next((e for e, total in shard if total == best), None)
@@ -200,14 +208,15 @@ class TestConvexMax:
         assert len(names) == len(searched) and "shard-24.ckpt" not in names
 
     def test_only_kept_shards_are_written_and_old_files_ignored(self, tmp_path):
-        # stars 8, 9 and 11-14 of (7, 4) hold no kept graph; files for them in
-        # the form a run that still searched every star wrote are not read
+        # stars 8, 9 and 11-14 of (7, 4) hold no kept graph, and the root
+        # bound drops stars 1, 2, 4 and 5; files for them in the form a run
+        # that still searched every star wrote are not read
         n, d = 7, 4
         prefixes = shard_prefixes(n, d)
-        dropped = {8, 9, 11, 12, 13, 14}
+        dropped = {1, 2, 4, 5, 8, 9, 11, 12, 13, 14}
         fresh = convex_max(n, d, checkpoint_dir=str(tmp_path))
         written = {f"shard-{i}.ckpt" for i in range(len(prefixes)) if i not in dropped}
-        assert len(written) == 9 and set(os.listdir(tmp_path)) == written
+        assert len(written) == 5 and set(os.listdir(tmp_path)) == written
         floor = best_known(n, d).lower
         for index in dropped:
             path = str(tmp_path / f"shard-{index}.ckpt")
@@ -370,7 +379,7 @@ class TestConvexMax:
 
     @pytest.mark.parametrize(
         "n,d,calls,cuts",
-        [(8, 4, 240, 115), (9, 6, 205, 168), (10, 6, 31738, 12260), (11, 8, 492, 422)],
+        [(8, 4, 233, 108), (9, 6, 205, 168), (10, 6, 31738, 12260), (11, 8, 492, 422)],
     )
     def test_pruning_work_is_pinned(self, n, d, calls, cuts, monkeypatch):
         # nodes offered to the prune hook and nodes it cut, shard roots and
@@ -383,14 +392,15 @@ class TestConvexMax:
     @pytest.mark.parametrize(
         "job,searched,root_cut",
         [
-            ((10, 3), 44, 42), ((9, 4), 38, 27), ((8, 4), 19, 7), ((9, 6), 16, 0),
-            ("table", 110, 64),
+            ((10, 3), 2, 0), ((9, 4), 11, 0), ((8, 4), 12, 0), ((9, 6), 16, 0),
+            ("table", 46, 0),
         ],
     )
     def test_shard_work_is_pinned(self, job, searched, root_cut, monkeypatch):
         # shards searched, and those of them that end at their root's single
         # hook call, on the `exhaustive` benchmark cells and the table's
-        # searches; a change to the star rule or to the root step shows here
+        # searches; a change to the star rule, the root bound or the root
+        # step shows here.  The root bound leaves no shard that its root cuts
         shards = _record_search(monkeypatch)
         if job == "table":
             reproduce_table(10)
@@ -407,6 +417,62 @@ class TestConvexMax:
         for d in range(2, n):
             if feasible(n, d):
                 assert _kept_stars(n, d) == kept_stars_by_tuples(n, d), (n, d)
+
+    @pytest.mark.parametrize("n", range(4, 15))
+    def test_root_bound_is_the_roots_decision(self, n, monkeypatch):
+        # _searched_stars must drop a kept star exactly when the prune hook
+        # cuts its shard at the root, in both spaces, pinned up to n = 14,
+        # past LONG_RUN_CAP: the spy records the real hook's answer at the
+        # root, then cuts.  Every n drops some stars in G, and the even n
+        # from 6 on some in H, where the chords weigh more than 0
+        import maxcross.search as search
+
+        walk = search.lex_fill
+        answers = []
+
+        def root_only(n_, d_, prefix, prune):
+            def root(stack, remaining):
+                answers.append(prune(stack, remaining))
+                return True
+
+            return walk(n_, d_, prefix, root)
+
+        monkeypatch.setattr(search, "lex_fill", root_only)
+        dropped = Counter()
+        for d in range(2, n):
+            if not feasible(n, d):
+                continue
+            floor = best_known(n, d).lower
+            # H has degree 0 when d = n - 1: no walk there
+            for complement in (False, True)[: 1 + (d < n - 1)]:
+                monkeypatch.setattr(
+                    search, "_searches_complement", lambda n, d, c=complement: c
+                )
+                searched = _searched_stars(n, d, floor)
+                for star in _kept_stars(n, d):
+                    answers.clear()
+                    outcome = _search_shard(n, d, star[1], floor)
+                    assert len(answers) == 1 and outcome == (floor, None, 0)
+                    assert answers[0] == (star not in searched), (d, complement, star)
+                    dropped[complement] += answers[0]
+        assert dropped[False] and (dropped[True] or n % 2 or n == 4)
+
+    def test_unattained_floor_is_an_internal_error(self, monkeypatch):
+        # a shard records a witness only at or above the floor, the known
+        # lower bound, so a floor above the maximum leaves the merge with no
+        # witness; no checkpoint was loaded, so that is a broken bound
+        import maxcross.search as search
+
+        known = search.best_known
+
+        def raised(n, d):
+            report = known(n, d)
+            return dataclasses.replace(report, lower=report.lower + 1, upper=report.upper + 1)
+
+        monkeypatch.setattr(search, "best_known", raised)
+        with pytest.raises(AssertionError) as caught:
+            convex_max(6, 2)
+        assert str(caught.value) == "seeded lower bound was never attained"
 
     def test_infeasible(self):
         with pytest.raises(ValueError):
@@ -587,7 +653,7 @@ class TestShardScheduling:
         names = sorted(os.listdir(single_dir))
         run_dir.mkdir()
         if resume:
-            for name in names[::3]:
+            for name in names[::4]:
                 shutil.copy(single_dir / name, run_dir / name)
         loaded = len(os.listdir(run_dir))
 
@@ -717,8 +783,8 @@ class TestCheckpoints:
     @pytest.mark.parametrize(
         "shard, damage, reason",
         [
-            (0, {6: "best 999"}, "best 999 without a witness"),
-            (0, {6: "best 7", 7: "witness 0-1 0-2 1-3 2-4 3-5 4-5"},
+            (5, {6: "best 999"}, "best 999 without a witness"),
+            (5, {6: "best 7", 7: "witness 0-1 0-2 1-3 2-4 3-5 4-5"},
              "witness recorded with examined 0"),
             (4, {3: "shard 3"}, "belongs to a different run"),
             (4, {5: "examined x"}, "bad field examined"),
@@ -737,9 +803,10 @@ class TestCheckpoints:
     def test_damaged_checkpoint_exits_2_with_one_line(
         self, capsys, tmp_path, shard, damage, reason
     ):
-        # each row reaches its own re-check through the CLI; the witness rows
-        # damage shard 4, which holds the run's witness, so that no earlier
-        # check refuses the file first
+        # each row reaches its own re-check through the CLI; the run writes
+        # shards 4 and 5 alone, and the witness rows damage shard 4, which
+        # holds the run's witness, so that no earlier check refuses the file
+        # first
         path, code, out, err = _resume_damaged(capsys, tmp_path, shard, damage)
         assert (code, out, err) == (2, "", f"error: checkpoint {path}: {reason}\n")
 
@@ -751,18 +818,25 @@ class TestCheckpoints:
         assert code == 0
         assert "graphs_examined 210" in out.splitlines()
 
-    def test_checkpoints_without_any_witness_rejected(self, tmp_path):
-        convex_max(6, 2, checkpoint_dir=str(tmp_path))
+    def test_checkpoints_without_any_witness_rejected(self, capsys, tmp_path):
+        # each file edited to `witness -` at the floor passes its own
+        # re-check, but together they leave the merge with no witness
+        argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
+        assert main(argv) == 0
         for path in tmp_path.iterdir():
             lines = path.read_text().splitlines()
-            path.write_text("\n".join(lines[:-1] + ["witness -"]))
-        with pytest.raises(ValueError, match="no witness"):
-            convex_max(6, 2, checkpoint_dir=str(tmp_path))
+            lines[6:] = ["best 7", "witness -"]
+            path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: checkpoints in {tmp_path} hold no witness\n")
 
     def test_foreign_checkpoint_rejected(self, tmp_path):
+        # (6, 2) writes shards 4 and 5, and (8, 4) searches shard 4 too
         convex_max(6, 2, checkpoint_dir=str(tmp_path))
-        with pytest.raises(ValueError):
-            convex_max(6, 4, checkpoint_dir=str(tmp_path))
+        with pytest.raises(ValueError, match="belongs to a different run"):
+            convex_max(8, 4, checkpoint_dir=str(tmp_path))
 
     def test_resume_from_checkpoints_of_every_labeling(self, tmp_path):
         # a search that kept every labeling recorded, per shard, the first
@@ -792,7 +866,7 @@ class TestCheckpoints:
 
         fresh_dir, run_dir = tmp_path / "fresh", tmp_path / "run"
         fresh = convex_max(7, 4, checkpoint_dir=str(fresh_dir))
-        stop_at = 5  # the sixth shard search raises
+        stop_at = 3  # the fourth shard search raises; (7, 4) searches 0, 3, 6, 7 and 10
         original = search._search_shard
         calls = []
 
@@ -805,7 +879,7 @@ class TestCheckpoints:
         monkeypatch.setattr(search, "_search_shard", interrupted)
         with pytest.raises(Stop):
             convex_max(7, 4, checkpoint_dir=str(run_dir))
-        kept = {f"shard-{i}.ckpt" for i in range(stop_at)}
+        kept = {f"shard-{i}.ckpt" for i in (0, 3, 6)}
         assert set(os.listdir(run_dir)) == kept
         monkeypatch.undo()
         resumed = convex_max(7, 4, checkpoint_dir=str(run_dir))
