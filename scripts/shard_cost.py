@@ -8,25 +8,21 @@ the machine disturbs least).  The inputs are the convex_max calls of one
 pass of the `exhaustive` benchmark: its six searched cells, (10, 3) once,
 and the 17 cells with n <= 8 that `reproduce_table(10)` searches.
 
-- "star_us": one vertex-0 star decision, the star filter of convex_max run
-  on every one of those calls, over the number of stars it decides;
-- "shard_list_us" and "shards": the decision the shard list is made by,
-  over the same stars, and the number of shards one pass searches, where
-  the pass's pool job searches (10, 3) a second time.  The
-  list is `search._searched_stars` (the dihedral rule, then the bound at
-  each star's root) where the tree has it, and `search._kept_stars` in a
-  tree older than it; the digest of this line differs between such trees;
-- "root_cut_shard_us": one shard whose root hook call cuts it, that is
-  `_search_shard` from the floor on each such shard of those calls, over
-  their number;
+- "shard_list_us" and "shards": `search._searched_stars`, the one decision
+  on every vertex-0 star (the dihedral rule and the bound at its root) that
+  the shard list is made by, run on every one of those calls, over the
+  number of stars it decides; and the number of shards one pass searches,
+  where the pass's pool job searches (10, 3) a second time;
 - "convex_max_us": `convex_max` on each searched cell of the workload;
 - "table_us": `reproduce_table(10)`.
 
 Each line also carries a digest of what the timed calls return, so runs on
 two trees can be checked to compute the same thing.  Point PYTHONPATH at
-another checkout's src to measure that tree.  A tree older than
-`search._kept_stars` is measured with `git show 71b3795:scripts/shard_cost.py`,
-whose star filter falls back to the sorted-tuple rule such trees ran inline.
+another checkout's src to measure that tree.  The script needs
+`search._searched_stars(n, d, floor)`; the "stars" and "root-cut shards"
+lines of the committed BENCH files, which time the dihedral rule alone and
+shards that the root bound now drops, are measured with
+`git show 69ae71a:scripts/shard_cost.py`.
 """
 
 import argparse
@@ -36,7 +32,7 @@ import maxcross.search as search
 from maxcross.formulas import best_known
 from maxcross.graph import feasible, shard_prefixes
 
-from harness import digest, hook_calls, per_call_us
+from harness import digest, per_call_us
 
 # (n, d, long_run) of the `exhaustive` workload's search jobs
 SEARCHED = ((9, 4, False), (9, 6, False), (8, 4, False), (8, 6, False),
@@ -47,42 +43,16 @@ TABLE_CELLS = tuple(
 PASS_CELLS = tuple((n, d) for n, d, _ in SEARCHED) + TABLE_CELLS
 
 
-def root_cut_shards() -> list[tuple[int, int, tuple, int]]:
-    """(n, d, prefix, floor) of each shard of the pass that ends at its root
-    hook call, found by counting the hook calls of each shard once."""
-    shards = []
-    with hook_calls() as calls:
-        for n, d in PASS_CELLS:
-            floor = best_known(n, d).lower
-            for _, prefix in search._kept_stars(n, d):
-                search._search_shard(n, d, prefix, floor)
-                if calls[-1] == 1:
-                    shards.append((n, d, prefix, floor))
-    return shards
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args()
 
-    def stars():
-        return [search._kept_stars(n, d) for n, d in PASS_CELLS]
-
     count = sum(len(shard_prefixes(n, d)) for n, d in PASS_CELLS)
-    print(json.dumps({
-        "input": "stars", "calls": len(PASS_CELLS), "stars": count,
-        "star_us": round(per_call_us(stars, args.rounds, 3) / count, 4),
-        "digest": digest(stars()),
-    }), flush=True)
-
-    searched_stars = getattr(search, "_searched_stars", None)
     floors = [best_known(n, d).lower for n, d in PASS_CELLS]
 
     def shard_list():
-        if searched_stars is None:
-            return stars()
-        return [searched_stars(n, d, floor) for (n, d), floor in zip(PASS_CELLS, floors)]
+        return [search._searched_stars(n, d, floor) for (n, d), floor in zip(PASS_CELLS, floors)]
 
     lists = shard_list()
     print(json.dumps({
@@ -90,17 +60,6 @@ def main() -> None:
         "shards": sum(map(len, lists)) + len(lists[PASS_CELLS.index((10, 3))]),
         "shard_list_us": round(per_call_us(shard_list, args.rounds, 3) / count, 4),
         "digest": digest(lists),
-    }), flush=True)
-
-    shards = root_cut_shards()
-
-    def outcomes():
-        return [search._search_shard(*shard) for shard in shards]
-
-    print(json.dumps({
-        "input": "root-cut shards", "shards": len(shards),
-        "root_cut_shard_us": round(per_call_us(outcomes, args.rounds, 3) / len(shards), 3),
-        "digest": digest(outcomes()),
     }), flush=True)
 
     for n, d, long_run in SEARCHED:

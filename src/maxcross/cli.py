@@ -338,9 +338,5 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         return 130
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    return run(argv)
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -16,8 +16,8 @@ sorted((v - x) % n for x in N(v)); they are the neighbourhood of 0 after
 relabeling by the rotation or the reflection that sends v to 0.  The search
 keeps a graph only if sorted(N(0)) is lexicographically at most every
 vertex's two patterns.  A saturated vertex's neighbourhood is final, so the
-test cuts prefixes: convex_max skips the vertex-0 stars that fail it, and
-the prune hook tests each vertex that a node's last edge saturated, at a
+test cuts prefixes: _searched_stars drops the vertex-0 stars that fail it,
+and the prune hook tests each vertex that a node's last edge saturated, at a
 leaf both of its ends.  The witness is unchanged.  The lexicographically
 least maximizer is the least member of its orbit, and the first d edges of
 any relabeling join 0 to one vertex's forward or backward pattern, so it
@@ -27,12 +27,13 @@ order is a maximizer, so the strictly-greater merge still reports it, also
 when some shards come from checkpoints written without this test.
 
 At a shard's root, where vertex 0's star is just placed, the prune hook's
-optimistic bound depends on the star alone, so convex_max decides it for
-every star the dihedral rule keeps before any search (_searched_stars), in
-closed form.  A star whose bound stays below the floor holds no graph that
-reaches it: it gets no shard, no pool task and no checkpoint file, and a
-file for it that an older run wrote is ignored.  Every node searched and
-every result are the same as when such a shard ended at its root.
+optimistic bound depends on the star alone.  So one pass before any search,
+_searched_stars, decides each star by both rules, in the space its shard
+walks (below): the dihedral one and this bound in closed form.  A star
+that fails either holds no graph that reaches the floor: it gets no shard,
+no pool task and no checkpoint file, and a file for it that an older run
+wrote is ignored.  Every node searched and every result are the same as
+when such a shard ended at its root.
 
 Dense cells are searched through their complement H = K_n - G.  In convex
 position every 4-set of points gives one crossing of K_n, so
@@ -62,9 +63,9 @@ import signal
 import time
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, compress, filterfalse
+from itertools import combinations, filterfalse
 from math import comb
-from operator import getitem, itemgetter, le
+from operator import getitem
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .constructions import ConvexOrder, crossings_convex, interleave_masks
@@ -174,11 +175,13 @@ def _search_shard(n: int, d: int, prefix: tuple[Edge, ...], floor: int) -> Shard
     C(left, 2) times less the pairs of them that meet at a vertex.  The
     capacity is summed chord by chord and the pass stops once it reaches the
     slack; every term is nonnegative, so the cut is the same as with the
-    whole sum.  At the shard's root this bound depends on the star alone,
-    and _searched_stars decides it in closed form from _search_cell's root
-    bound and root terms, so convex_max never searches a shard that this
-    hook cuts at its root.  A change to the bound must change that closed
-    form with it; a test compares the two on every kept star with n <= 14.
+    whole sum.  At the shard's root this bound and the dihedral test depend
+    on the star alone, and _searched_stars, the one decision on stars,
+    decides both in the walked space, the bound in closed form from
+    _search_cell's root bound and root terms; so convex_max never searches
+    a shard that this hook cuts at its root.  A change to the bound must
+    change that closed form with it; a test compares the two on every star
+    the dihedral rule keeps with n <= 14.
 
     In G a tie keeps the first witness; in H, whose stream runs in reverse
     G order, a tie replaces it.  In G no leaf below best is reached, as the
@@ -488,33 +491,20 @@ def _shard_from_text(run: ShardRun, floor: int, upper: int, text: str) -> ShardO
     return best, witness, examined
 
 
-def _kept_stars(n: int, d: int) -> list[tuple[int, tuple[Edge, ...]]]:
-    """(index, prefix) of each shard_prefixes(n, d) star that can start a
-    kept graph, in index order.
-
-    A star S = N(0) whose backward pattern sorted(n - w for w in S) is
-    lexicographically below its forward one, S itself, holds no kept graph.
-    Both patterns have d offsets, so that is the star whose backward key,
-    the sum of 2^(w - 1) over S, is above its forward key, the sum of
-    2^(n - 1 - w) (the keys of _search_cell).  The keys come off two
-    combinations streams in the order of shard_prefixes, so a star is
-    decided without building or sorting a tuple for it.
-    """
-    offsets = range(1, n)
-    backward = map(sum, combinations([1 << w - 1 for w in offsets], d))
-    forward = map(sum, combinations([1 << n - 1 - w for w in offsets], d))
-    return list(compress(enumerate(shard_prefixes(n, d)), map(le, backward, forward)))
-
-
 def _searched_stars(n: int, d: int, floor: int) -> list[tuple[int, tuple[Edge, ...]]]:
-    """(index, prefix) of each _kept_stars(n, d) star whose shard root the
-    prune hook keeps at this floor, in index order: the shards convex_max
-    searches.  Every other star's shard would end at its root's hook call
-    with outcome (floor, None, 0).
+    """(index, prefix) of each shard_prefixes(n, d) star that can start a
+    kept graph reaching the floor, in index order: the shards convex_max
+    searches.  Every other star's shard holds no kept graph or would end at
+    its root's hook call with outcome (floor, None, 0).
 
-    At the root the hook's bound depends on the star alone.  With
-    w_0 < ... < w_{k-1} vertex 0's partners in the walked space (_search_shard)
-    and k its degree, the root keeps the shard iff
+    Each star is decided once, in the space _searches_complement picks now:
+    k is that space's degree and w_0 < ... < w_{k-1} vertex 0's partners
+    there.  The dihedral rule drops a star S whose backward pattern
+    sorted(n - w for w in S) is lexicographically below S: in the keys of
+    _search_cell, whose backward key, the sum of 2^(w - 1) over S, is above
+    its forward key, the sum of 2^(n - 1 - w).  A star's keys and its
+    complement's add up to 2^(n - 1) - 1, so in H the comparison is reversed.
+    The root bound keeps the star iff
 
         root_bound + sum over j of (capacity_j - weight[w_j]) >= floor,
 
@@ -522,22 +512,36 @@ def _searched_stars(n: int, d: int, floor: int) -> list[tuple[int, tuple[Edge, .
     weight owed once vertex 0 saturates, rounded up, and capacity_j =
     min(k (w_j - 1) - j, k (n - 2 - w_j) + 1 + j), the smaller of the free
     stubs strictly inside and strictly outside the chord (0, w_j).  Both
-    come from _search_cell, for the space _searches_complement picks now,
-    and must change together with the hook.  The capacity terms are
-    nonnegative, so this is the hook's "slack <= 0 or capacity >= slack";
-    its capacity pass stops early only where every later term is 0.
+    come from _search_cell and must change together with the hook.  The
+    capacity terms are nonnegative, so this is the hook's "slack <= 0 or
+    capacity >= slack"; its capacity pass stops early only where every
+    later term is 0.
+
+    Keys and stars come off combinations streams in lexicographic order,
+    and complementing the k-subsets of 1..n-1 reverses that order, so the
+    walked star h in H is G's star C(n - 1, d) - 1 - h.
     """
+    prefixes = shard_prefixes(n, d)
     complement = _searches_complement(n, d)
     cell = _search_cell(n, d, complement)
-    star, root_bound, root_terms = cell[3], cell[9], cell[10]
-    searched = []
-    for index, prefix in _kept_stars(n, d):
-        # G's star at 0 fixes H's: the partners G leaves out
-        walk = filterfalse(set(prefix).__contains__, star) if complement else prefix
-        # row j of root_terms pairs with the j-th partner w of an edge (0, w)
-        if root_bound + sum(map(getitem, root_terms, map(itemgetter(1), walk))) >= floor:
-            searched.append((index, prefix))
-    return searched
+    degree, root_bound, root_terms = cell[0], cell[9], cell[10]
+    offsets = range(1, n)
+    backward = map(sum, combinations([1 << w - 1 for w in offsets], degree))
+    forward = map(sum, combinations([1 << n - 1 - w for w in offsets], degree))
+    # the dihedral rule keeps low <= high: backward <= forward in G, >= in H
+    keys = (forward, backward) if complement else (backward, forward)
+    need = floor - root_bound
+    # row j of root_terms pairs with the j-th partner w of the star
+    stars = combinations(offsets, degree)
+    walked = [
+        index
+        for index, (star, low, high) in enumerate(zip(stars, *keys))
+        if low <= high and sum(map(getitem, root_terms, star)) >= need
+    ]
+    if complement:
+        last = len(prefixes) - 1
+        walked = [last - index for index in reversed(walked)]
+    return [(index, prefixes[index]) for index in walked]
 
 
 def _pool_size(workers: int, tasks: int) -> int:
@@ -556,14 +560,13 @@ def convex_max(
     """Maximum of crossings_convex over every labeled d-regular graph.
 
     Work splits into one shard per edge set at vertex 0 that can hold a
-    kept graph reaching the floor, the known lower bound: the star must keep
-    the dihedral rule (_kept_stars) and the prune hook's bound at the
-    shard's root, which depends on the star alone (_searched_stars).  Other
+    kept graph reaching the floor, the known lower bound: _searched_stars
+    decides each star once, by the dihedral rule and by the prune hook's
+    bound at the shard's root, which depends on the star alone.  Other
     stars get no shard, no pool task and no checkpoint file, and a file for
     one of them that an older run wrote is ignored.  Shards never share
     state, so results (witness and graphs_examined included) are identical
-    for any worker count.  A
-    shard's outcome (best, witness or None, examined) is the one record that
+    for any worker count.  A shard's outcome (best, witness or None, examined) is the one record that
     is searched, written and merged.  With checkpoint_dir set, the ckpt v1
     files of those shards are read and re-checked by load_shard_checkpoint
     before any search starts, and their shards are not searched again; each

@@ -14,7 +14,7 @@ import random
 import time
 
 from maxcross.analysis import lemma_coverage_check, noncrossing_accounting, type_profile
-from maxcross.cli import main
+from maxcross.cli import run
 from maxcross.constructions import (
     ConvexOrder,
     drawing_from_order,
@@ -115,7 +115,7 @@ def test_criterion_03_table_reproduction(capsys):
     flag = entries[(10, 6)]
     flag_ok = (flag.status == "discrepancy" and flag.value == 173
                and flag.reference == 133)
-    code = main(["table", "--max-n", "8"])
+    code = run(["table", "--max-n", "8"])
     cli_out = capsys.readouterr().out
     cli_rows = [line.split() for line in cli_out.splitlines()[1:]]
     cli_ok = code == 0 and all(

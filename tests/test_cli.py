@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from maxcross.cli import main, render_svg
+from maxcross.cli import render_svg, run
 from maxcross.constructions import (
     CONSTRUCTION_CAP,
     generalized_star,
@@ -21,7 +21,7 @@ STARLIKE_BODY = b"\n4 4\n0 1 0 1\n1 1 1 1\n2 1 4 1\n3 1 9 1\n0 2\n0 3\n1 2\n1 3\
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 

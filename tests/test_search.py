@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maxcross.cli import main
+from maxcross.cli import run
 from maxcross.constructions import (
     ConvexOrder,
     crossings_convex,
@@ -45,7 +45,6 @@ from maxcross.graph import (
 )
 from maxcross.search import (
     REFERENCE_VALUES,
-    _kept_stars,
     _pool_size,
     _search_cell,
     _search_shard,
@@ -160,7 +159,7 @@ class TestConvexMax:
         convex_max(n, d)
         monkeypatch.undo()
         searched = [prefix for prefix, _, _ in shards]
-        kept = [prefix for _, prefix in _kept_stars(n, d)]
+        kept = [prefix for _, prefix in kept_stars_by_tuples(n, d)]
         floor = best_known(n, d).lower
         assert searched
         for prefix in shard_prefixes(n, d):
@@ -374,7 +373,7 @@ class TestConvexMax:
             if n > 11:
                 continue
             argv = ["search", "--n", str(n), "--d", str(d), "--long-run"]
-            assert main(argv) == 0
+            assert run(argv) == 0
             assert capsys.readouterr().out == expected, (n, d)
 
     @pytest.mark.parametrize(
@@ -410,13 +409,25 @@ class TestConvexMax:
         assert [work for _, *work in shards].count([1, 1]) == root_cut
 
     @pytest.mark.parametrize("n", range(4, 15))
-    def test_star_keys_keep_the_tuple_rule_stars(self, n):
-        # comparing the backward key with the forward key keeps exactly the
-        # stars whose sorted backward pattern is at least the star, with the
-        # same indices and prefixes; pinned up to n = 14, past LONG_RUN_CAP
+    def test_star_keys_keep_the_tuple_rule_stars(self, n, monkeypatch):
+        # with a floor below every root score, _searched_stars keeps exactly
+        # the stars whose sorted backward pattern is at least the star, with
+        # the same indices and prefixes, in both spaces: in H through the
+        # reversed key rule and the reversed star order; pinned up to
+        # n = 14, past LONG_RUN_CAP
+        import maxcross.search as search
+
         for d in range(2, n):
-            if feasible(n, d):
-                assert _kept_stars(n, d) == kept_stars_by_tuples(n, d), (n, d)
+            if not feasible(n, d):
+                continue
+            # H has degree 0 when d = n - 1: no walk there
+            for complement in (False, True)[: 1 + (d < n - 1)]:
+                monkeypatch.setattr(
+                    search, "_searches_complement", lambda n, d, c=complement: c
+                )
+                assert _searched_stars(n, d, -n ** 4) == kept_stars_by_tuples(n, d), (
+                    d, complement,
+                )
 
     @pytest.mark.parametrize("n", range(4, 15))
     def test_root_bound_is_the_roots_decision(self, n, monkeypatch):
@@ -449,7 +460,7 @@ class TestConvexMax:
                     search, "_searches_complement", lambda n, d, c=complement: c
                 )
                 searched = _searched_stars(n, d, floor)
-                for star in _kept_stars(n, d):
+                for star in kept_stars_by_tuples(n, d):
                     answers.clear()
                     outcome = _search_shard(n, d, star[1], floor)
                     assert len(answers) == 1 and outcome == (floor, None, 0)
@@ -477,8 +488,9 @@ class TestConvexMax:
     def test_infeasible(self):
         with pytest.raises(ValueError):
             convex_max(7, 3)
-        with pytest.raises(ValueError):
-            _kept_stars(7, 3)
+        with pytest.raises(ValueError) as caught:
+            _searched_stars(7, 3, 0)
+        assert str(caught.value) == "no d-regular graph exists for n=7, d=3"
 
     def test_mode_field(self):
         result = convex_max(5, 2)
@@ -613,14 +625,14 @@ def _resume_damaged(capsys, tmp_path, shard, damage):
     of shard's file by damage's {line index: text}, and run it again:
     (the file's path, exit code, stdout, stderr) of the second run."""
     argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
-    assert main(argv) == 0
+    assert run(argv) == 0
     path = tmp_path / f"shard-{shard}.ckpt"
     lines = path.read_text().splitlines()
     for line, text in damage.items():
         lines[line] = text
     path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
-    code = main(argv)
+    code = run(argv)
     return (path, code, *capsys.readouterr())
 
 
@@ -822,13 +834,13 @@ class TestCheckpoints:
         # each file edited to `witness -` at the floor passes its own
         # re-check, but together they leave the merge with no witness
         argv = ["search", "--n", "6", "--d", "2", "--checkpoint-dir", str(tmp_path)]
-        assert main(argv) == 0
+        assert run(argv) == 0
         for path in tmp_path.iterdir():
             lines = path.read_text().splitlines()
             lines[6:] = ["best 7", "witness -"]
             path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        assert main(argv) == 2
+        assert run(argv) == 2
         out, err = capsys.readouterr()
         assert (out, err) == ("", f"error: checkpoints in {tmp_path} hold no witness\n")
 
@@ -1127,7 +1139,7 @@ class TestNoGraphCells:
 
     @pytest.mark.parametrize("command", ["search", "formula"])
     def test_one_error_line_on_stderr(self, capsys, command):
-        assert main([command, "--n", "5", "--d", "3"]) == 2
+        assert run([command, "--n", "5", "--d", "3"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "error: no d-regular graph exists for n=5, d=3\n"
