@@ -215,6 +215,18 @@ def lex_fill(
     Contract, relied on by the convex search's capacity bound: at every
     prune call, with u the first vertex with free stubs, every vertex below
     u is saturated and no edge whose first endpoint is above u is placed.
+
+    Without a hook the walk memoizes, in a dict local to the call.  When u
+    has just been started, no edge from u is placed either, so the sorted
+    completions of that node depend on remaining[u:] alone.  On each path
+    the first node with at most n // 2 + 1 vertices left from u records
+    its leaves' tails (the edges after its own) under that key; a later node
+    with the same key yields its stack plus each stored tail and is cut, so
+    each residual degree sequence is filled once.  The memo holds at most
+    one tail per graph on the last n // 2 + 1 vertices.  Starting a vertex
+    earlier measured slower with a memo of megabytes at n = 8, and a vertex
+    later saves too little per hit.  With a hook the memo is off: a cut may
+    depend on the whole stack.
     """
     remaining = [d] * n
     last = (-1, -1)
@@ -238,7 +250,13 @@ def lex_fill(
         remaining[v] -= 1
         last = (u, v)
     stack = list(prefix)
-    base = len(stack)
+    base = stop = len(stack)
+    # Hookless, the first node on each path with u >= memo_at records the
+    # tails of its leaves in tails until the scan at its depth, stop, runs
+    # out; low is n meanwhile, so no node below it records or replays.
+    memo: dict[tuple[int, ...], list[tuple[Edge, ...]]] = {}
+    memo_at = low = n - n // 2 - 1
+    tails = None
     u, w = stack[-1] if stack else (0, 0)
     while True:
         # Enter the node whose last edge is (u, w); leaves and cuts set w = n.
@@ -248,8 +266,14 @@ def lex_fill(
                 u += 1
             w = u
         if u == n:
-            if not (prune and prune(stack, remaining)):
-                yield tuple(stack)
+            if prune:
+                if not prune(stack, remaining):
+                    yield tuple(stack)
+            else:
+                leaf = tuple(stack)
+                if tails is not None:
+                    tails.append(leaf[stop:])
+                yield leaf
         elif n - w - 1 - remaining[w + 1 :].count(0) < remaining[u]:
             if u < w and len(stack) > base:
                 # Still filling its parent's vertex: w = n ends that scan too.
@@ -257,8 +281,22 @@ def lex_fill(
                 remaining[u] += 1
                 remaining[w] += 1
             w = n
-        elif prune and prune(stack, remaining):
-            w = n
+        elif prune:
+            if prune(stack, remaining):
+                w = n
+        elif u >= low:
+            # u was just started, or this is the root, which no node revisits
+            key = tuple(remaining[u:])
+            known = memo.get(key)
+            if known is None:
+                tails = memo[key] = []
+                stop = len(stack)
+                low = n
+            else:
+                head = tuple(stack)
+                for tail in known:
+                    yield head + tail
+                w = n
         # Place u's next free partner above w, popping nodes that have none.
         while True:
             w += 1
@@ -266,8 +304,10 @@ def lex_fill(
                 w += 1
             if w < n:
                 break
-            if len(stack) == base:
-                return
+            if len(stack) == stop:
+                if stop == base:
+                    return
+                stop, low, tails = base, memo_at, None
             u, w = stack.pop()
             remaining[u] += 1
             remaining[w] += 1

@@ -3,7 +3,8 @@
 The enumerator is the foundation of the exhaustive search, so it is checked
 against an independent brute-force oracle: filter every m-subset of the
 complete graph's edge set for d-regularity.  The walk's pruning hook is
-checked call by call against the recursive reference walk.
+checked call by call against the recursive reference walk, and the memo
+that only the hookless walk keeps against that walk and the hooked one.
 """
 
 import random
@@ -45,6 +46,21 @@ def brute_force_regular(n: int, d: int) -> set[tuple]:
         if all(x == d for x in degree):
             found.add(subset)
     return found
+
+
+def edge_prefixes(n, d):
+    """(open star, past star, dead star), prefixes that start the walk off
+    a whole star.  Part of a star leaves vertex 0 with free stubs, so the
+    root tests itself; the first d + 1 edges of the first graph saturate
+    vertex 0 and stop part-way through vertex 1, so the root goes on filling
+    vertex 1; and the last star without its first edge leaves vertex 0 no
+    partner, so nothing is yielded and no node is offered to the hook."""
+    prefixes = shard_prefixes(n, d)
+    return (
+        prefixes[len(prefixes) // 2][: d // 2],
+        next(lex_fill(n, d))[: d + 1],
+        prefixes[-1][1:],
+    )
 
 
 class TestFeasible:
@@ -131,7 +147,9 @@ class TestEnumeration:
         [
             (4, 2, 3), (4, 3, 1), (5, 2, 12), (6, 2, 70), (6, 3, 70),
             # OEIS A001205 (d = 2) and A002829 (d = 3)
-            (7, 2, 465), (8, 2, 3507), (8, 3, 19355),
+            (7, 2, 465), (8, 2, 3507), (8, 3, 19355), (9, 2, 30016),
+            # the 4-regular graphs on 8 vertices are the cubic ones' complements
+            (8, 4, 19355),
         ],
     )
     def test_counts(self, n, d, count):
@@ -225,22 +243,17 @@ class TestEnumeration:
     def test_matches_reference_walk(self, n, d):
         # a seeded random cut on both walks: equal streams and the same
         # hook calls in the same order, so the cuts fall on the same nodes,
-        # leaves included: every graph yielded was offered first.
-        # Beside whole stars, a part of one leaves vertex 0 with free stubs,
-        # so the root tests itself; the first d + 1 edges of the first graph
-        # saturate vertex 0 and stop part-way through vertex 1, so the root
-        # goes on filling vertex 1; and the last star without its first edge
-        # leaves vertex 0 no partner, so nothing is yielded and no node is
-        # offered to the hook
+        # leaves included: every graph yielded was offered first.  Without
+        # a hook the streams are equal too, so the memo that only the
+        # hookless walk keeps is checked against a walk that shares no code
         prefixes = shard_prefixes(n, d)
-        open_star = prefixes[len(prefixes) // 2][: d // 2]
-        past_star = next(lex_fill(n, d))[: d + 1]
-        dead_star = prefixes[-1][1:]
+        open_star, past_star, dead_star = edge_prefixes(n, d)
         cases = (
             [()] + prefixes[:: len(prefixes) // 3]
             + [open_star, past_star, dead_star]
         )
         for seed, prefix in enumerate(cases):
+            assert list(lex_fill(n, d, prefix)) == list(reference_walk(n, d, prefix))
             runs = []
             for walk in (lex_fill, reference_walk):
                 calls = []
@@ -257,6 +270,23 @@ class TestEnumeration:
             else:
                 assert runs[0][0] and len(runs[0][1]) > len(runs[0][0])
                 assert set(runs[0][0]) <= {stack for stack, _ in runs[0][1]}
+
+    @pytest.mark.parametrize(
+        "n,d",
+        [(n, d) for n in range(3, 9) for d in range(2, n) if feasible(n, d)] + [(9, 2)],
+    )
+    def test_memo_matches_walk_without_memo(self, n, d):
+        # a hook that never cuts turns the memo off and changes nothing
+        # else, so the hookless stream must equal it from every prefix:
+        # none, each vertex-0 star, the three prefixes that start the walk
+        # off a whole star, and a complete graph
+        def never(stack, remaining):
+            return False
+
+        cases = [()] + shard_prefixes(n, d) + list(edge_prefixes(n, d))
+        cases.append(next(lex_fill(n, d)))
+        for prefix in cases:
+            assert list(lex_fill(n, d, prefix)) == list(lex_fill(n, d, prefix, never))
 
 
 class TestSerialization:
