@@ -10,13 +10,14 @@ of the shortest diagonal class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd
 from operator import or_
 from typing import Sequence
 
 from .errors import ConstructionError, ResourceLimitError
-from .geometry import CrossingReport, GeometricDrawing, Point, point
+from .geometry import CrossingReport, GeometricDrawing, Point
 from .graph import Edge, RegularGraph, feasible, make_circulant
 
 __all__ = [
@@ -86,15 +87,19 @@ def construction_params(n: int, d: int) -> ConstructionParams:
     return ConstructionParams(n, d, k, gcd(n, k))
 
 
+@lru_cache(maxsize=32)
 def convex_points(n: int) -> tuple[Point, ...]:
-    """n integer points on the parabola (i, i^2).
+    """n integer points on the parabola (i, i^2), with int coordinates.
 
     The parabola is strictly convex, so the points are automatically in
-    convex and general position, with coordinates that stay tiny.
+    convex and general position, with coordinates that stay tiny.  Being
+    ints, they are their own grid: a drawing on them counts without
+    clearing denominators.  Kept for the last 32 values of n, since every
+    drawing_from_order call places its graph on them.
     """
     if n < 3:
         raise ValueError(f"need n >= 3, got n={n}")
-    return tuple(point(i, i * i) for i in range(n))
+    return tuple(Point(i, i * i) for i in range(n))
 
 
 def generalized_star(n: int, d: int) -> GeometricDrawing:

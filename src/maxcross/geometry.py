@@ -3,8 +3,9 @@
 Every decision is the sign of an exact cross product; no floating point
 enters.  `orientation` and `segments_cross` decide on rational coordinates.
 The kernel clears a drawing's denominators once, each axis by its own lcm
-(its `grid`), checks general position once on those ints and reads
-crossings and types off one side table.
+(its `grid`; a drawing whose coordinates are all ints is its own grid),
+checks general position once on those ints and reads crossings and types
+off one side table.
 """
 
 from __future__ import annotations
@@ -28,15 +29,22 @@ COLLINEAR = 0
 
 
 class Point(NamedTuple):
-    """A point with exact rational coordinates."""
+    """A point with exact rational coordinates: each an int or a Fraction.
+    Parsed and constructed points keep an integral coordinate as an int."""
 
-    x: Fraction
-    y: Fraction
+    x: int | Fraction
+    y: int | Fraction
+
+
+def _exact(value: Fraction) -> int | Fraction:
+    """value itself, or its numerator when it is integral."""
+    return value.numerator if value.denominator == 1 else value
 
 
 def point(x, y) -> Point:
-    """Build a Point, coercing coordinates to Fraction (lowest terms)."""
-    return Point(Fraction(x), Fraction(y))
+    """Build a Point of exact coordinates: each is coerced to a Fraction in
+    lowest terms and kept as an int when it is integral."""
+    return Point(_exact(Fraction(x)), _exact(Fraction(y)))
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -93,7 +101,10 @@ class GeometricDrawing:
         lcm b of the y denominators.  (x, y) -> (a x, b y) multiplies every
         cross product by a b > 0, so each orientation sign, collinear triple
         and coincident pair is kept, on smaller ints than one common scale.
-        Non-rational coordinates raise ValueError."""
+        When every coordinate is an int, a = b = 1 and the grid is positions
+        itself.  Non-rational coordinates raise ValueError."""
+        if all(type(x) is int and type(y) is int for x, y in self.positions):
+            return self.positions
         for c in (c for p in self.positions for c in p):
             if not isinstance(c, numbers.Rational):
                 raise ValueError(f"coordinate {c!r} is not rational")
@@ -243,7 +254,9 @@ def drawing_to_text(drawing: GeometricDrawing, trailer: str | None = None) -> st
 
 
 def drawing_from_text(text: str) -> GeometricDrawing:
-    """Parse the drawing v1 format; comment lines are skipped."""
+    """Parse the drawing v1 format; comment lines are skipped.  A coordinate
+    is an int when it is integral (4/2, 3/-1), else a Fraction in lowest
+    terms."""
     n, m, body = sized_body(text, DRAWING_FORMAT_HEADER, "drawing")
     if len(body) != n + m:
         raise ValueError(f"expected {n} point and {m} edge lines, got {len(body)}")
@@ -255,7 +268,7 @@ def drawing_from_text(text: str) -> GeometricDrawing:
             raise ValueError(f"bad point line {line!r}") from exc
         if xd == 0 or yd == 0:
             raise ValueError(f"zero denominator in point line {line!r}")
-        positions.append(Point(Fraction(xn, xd), Fraction(yn, yd)))
+        positions.append(Point(_exact(Fraction(xn, xd)), _exact(Fraction(yn, yd))))
     edges = edge_lines(body[n:])
     if n and 2 * m % n:
         raise ValueError(f"edge list is not regular: {m} edges on {n} vertices")

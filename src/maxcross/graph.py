@@ -83,9 +83,14 @@ class RegularGraph:
         """Build without __post_init__, for lex_fill output only: the walk
         already guarantees sorted, in-range edges and degree d everywhere.
         A convex search witness is such output, or the edges of a graph
-        that was validated when it was built."""
+        that was validated when it was built.  One object.__new__ and three
+        stores into the instance dict: no keyword dict, no dataclass
+        __init__, so enumeration pays the least per graph."""
         graph = object.__new__(cls)
-        graph.__dict__.update(n=n, d=d, edges=edges)
+        fields = graph.__dict__
+        fields["n"] = n
+        fields["d"] = d
+        fields["edges"] = edges
         return graph
 
     @cached_property
@@ -327,8 +332,9 @@ def enumerate_labeled_regular(n: int, d: int) -> Iterator[RegularGraph]:
         raise ResourceLimitError(f"n={n} exceeds enumeration cap {ENUMERATION_CAP}")
     if not feasible(n, d):
         return
+    wrap = RegularGraph._trusted
     for edges in lex_fill(n, d):
-        yield RegularGraph._trusted(n, d, edges)
+        yield wrap(n, d, edges)
 
 
 def graph_to_text(graph: RegularGraph) -> str:

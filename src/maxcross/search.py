@@ -73,7 +73,7 @@ from .errors import ResourceLimitError
 from .formulas import best_known
 from .geometry import GeometricDrawing, Point, crossing_total, degeneracy
 from .graph import (
-    Edge, RegularGraph, feasible, lex_fill, load_text, make_circulant, make_complete,
+    Edge, RegularGraph, feasible, lex_fill, load_text, make_circulant,
     require_feasible, shard_prefixes, write_utf8,
 )
 
@@ -665,10 +665,19 @@ def sample_regular_graph(n: int, d: int, rng: random.Random) -> RegularGraph:
     sampled through the complement, which keeps the chain short.
     """
     require_feasible(n, d)
+    return RegularGraph(n, d, tuple(sorted(_sampled_edges(n, d, rng))))
+
+
+def _sampled_edges(n: int, d: int, rng: random.Random) -> list[Edge]:
+    """The edges of sample_regular_graph's draw, neither sorted nor checked:
+    every pair for d = n - 1, the pairs a chain draw of degree n - 1 - d
+    leaves out for a dense d, else the chain's own edges.  (n, d) must be
+    feasible.  The probe scores these lists as they are."""
     if d == n - 1:
-        return make_complete(n)
+        return list(combinations(range(n), 2))
     if n - 1 - d < d:
-        return _sample_by_switching(n, n - 1 - d, rng).complement()
+        present = set(_sample_by_switching(n, n - 1 - d, rng))
+        return [edge for edge in combinations(range(n), 2) if edge not in present]
     return _sample_by_switching(n, d, rng)
 
 
@@ -680,8 +689,9 @@ def _circulant_edges(n: int, d: int) -> tuple[Edge, ...]:
     return make_circulant(n, offsets).edges
 
 
-def _sample_by_switching(n: int, d: int, rng: random.Random) -> RegularGraph:
-    """SWITCHES_PER_EDGE * m attempts of the switch ab, ce -> ac, be.
+def _sample_by_switching(n: int, d: int, rng: random.Random) -> list[Edge]:
+    """The edges (u, v), u < v, after SWITCHES_PER_EDGE * m attempts of the
+    switch ab, ce -> ac, be, in the chain's own order.
 
     One draw picks an ordered pair of edge indices and an orientation of the
     second edge.  An attempt that would make a loop or a repeated edge is
@@ -724,17 +734,33 @@ def _sample_by_switching(n: int, d: int, rng: random.Random) -> RegularGraph:
         present.add(second)
         edges[i] = divmod(first, n)
         edges[j] = divmod(second, n)
-    return RegularGraph(n, d, tuple(sorted(edges)))
+    return edges
 
 
 COORDINATE_SPAN_FACTOR = 4
 
 
 def sample_positions(n: int, rng: random.Random) -> tuple[tuple[int, int], ...]:
-    """Integer points uniform in [0, 4n^2]^2, resampled to general position."""
+    """Integer points uniform in [0, 4n^2]^2, resampled to general position.
+
+    Each coordinate, x before y and point by point, is drawn as
+    rng.randint(0, 4n^2) draws it: getrandbits of the bit length of
+    4n^2 + 1, drawn again while above 4n^2.  The stream is randint's, without
+    its three calls per coordinate.
+    """
     span = COORDINATE_SPAN_FACTOR * n * n
+    bits = (span + 1).bit_length()
+    getrandbits = rng.getrandbits
     while True:
-        pts = [(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)]
+        pts = []
+        for _ in range(n):
+            x = getrandbits(bits)
+            while x > span:
+                x = getrandbits(bits)
+            y = getrandbits(bits)
+            while y > span:
+                y = getrandbits(bits)
+            pts.append((x, y))
         if degeneracy(pts) is None:
             return tuple(pts)
 
@@ -753,9 +779,13 @@ def perturbation_probe(n: int, d: int, trials: int, seed: int) -> SearchResult:
     refute the convex-position conjecture.  Each trial draws its graph from
     sample_regular_graph (a switch chain from a relabeled circulant, with a
     fixed number of steps, close to uniform rather than exactly uniform), so
-    every trial does bounded work.  Deterministic for fixed seed.  Raises
-    ResourceLimitError above PROBE_CAP vertices: a trial's general-position
-    check is quadratic in n and its crossing count quadratic in m.
+    every trial does bounded work.  A trial scores the sampled edge list as
+    the chain leaves it, unsorted and unchecked; only the witness becomes a
+    validated RegularGraph, once, so it equals the graph
+    sample_regular_graph returns for the same draws.  Deterministic for
+    fixed seed.  Raises ResourceLimitError above PROBE_CAP vertices: a
+    trial's general-position check is quadratic in n and its crossing count
+    quadratic in m.
     """
     if n > PROBE_CAP:
         raise ResourceLimitError(f"n={n} exceeds probe cap {PROBE_CAP}")
@@ -765,20 +795,18 @@ def perturbation_probe(n: int, d: int, trials: int, seed: int) -> SearchResult:
     started = time.perf_counter()
     rng = random.Random(seed)
     best = -1
-    witness: RegularGraph | None = None
+    witness: list[Edge] = []
     for _ in range(trials):
-        graph = sample_regular_graph(n, d, rng)
-        pts = sample_positions(n, rng)
-        total = crossing_total(pts, graph.edges)
+        edges = _sampled_edges(n, d, rng)
+        total = crossing_total(sample_positions(n, rng), edges)
         if total > best:
             best = total
-            witness = graph
-    assert witness is not None
+            witness = edges
     return SearchResult(
         n=n,
         d=d,
         max_crossings=best,
-        witness=witness,
+        witness=RegularGraph(n, d, tuple(sorted(witness))),
         graphs_examined=trials,
         elapsed=time.perf_counter() - started,
         mode=MODE_PERTURBATION,

@@ -24,7 +24,7 @@ from maxcross.constructions import (
     star_like_even,
 )
 from maxcross.formulas import exact_odd, lower_bound_even, removal_count
-from maxcross.geometry import count_crossings_geometric, validate_general_position
+from maxcross.geometry import count_crossings_geometric, point, validate_general_position
 from maxcross.graph import (
     RegularGraph,
     connected_components,
@@ -207,6 +207,11 @@ class TestDualRouteAgreement:
 
 
 class TestConvexPoints:
+    def test_int_parabola_points(self):
+        pts = convex_points(9)
+        assert pts == tuple(point(i, i * i) for i in range(9))
+        assert all(type(c) is int for p in pts for c in p)
+
     def test_strictly_convex_position(self):
         pts = convex_points(12)
         drawing_graph = make_cycle(12)

@@ -176,6 +176,12 @@ class TestGeneralPosition:
 
 
 class TestGrid:
+    def test_int_positions_are_their_own_grid(self):
+        drawing = GeometricDrawing(make_cycle(4), parabola(4))
+        assert drawing.grid is drawing.positions
+        parsed = drawing_from_text(drawing_to_text(drawing))
+        assert parsed.grid is parsed.positions
+
     def test_each_axis_has_its_own_scale(self):
         pts = (point(Fraction(1, 3), Fraction(2, 7)),
                point(Fraction(-4, 3), Fraction(-1, 7)),
@@ -301,6 +307,26 @@ class TestSerialization:
         text = drawing_to_text(d)
         assert "1 3" in text.splitlines()[2]
         assert drawing_from_text(text) == d
+
+    @pytest.mark.parametrize(
+        "fields, x",
+        [("4 2", 2), ("3 -1", -3), ("-6 3", -2), ("3 2", Fraction(3, 2)), ("2 -4", Fraction(-1, 2))],
+    )
+    def test_integral_coordinates_parse_as_int(self, fields, x):
+        text = drawing_to_text(GeometricDrawing(make_cycle(4), parabola(4)))
+        text = text.replace("\n1 1 1 1\n", f"\n{fields} 1 1\n")
+        parsed = drawing_from_text(text).positions[1].x
+        assert parsed == x and type(parsed) is type(x)
+
+    def test_round_trip_is_byte_identical(self):
+        integer = GeometricDrawing(make_cycle(4), parabola(4))
+        rational = GeometricDrawing(make_cycle(4), (
+            point(Fraction(1, 3), 0), point(1, Fraction(-2, 7)),
+            point(2, 5), point(Fraction(9, 2), Fraction(1, 2)),
+        ))
+        for drawing in (integer, rational):
+            text = drawing_to_text(drawing, trailer="t")
+            assert drawing_to_text(drawing_from_text(text), trailer="t") == text
 
     def test_trailer_ignored(self):
         d = GeometricDrawing(make_cycle(4), parabola(4))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import hashlib
 import math
 import multiprocessing
 import os
@@ -22,6 +23,7 @@ from maxcross.constructions import (
     crossings_convex,
     generalized_star,
     interleave_masks,
+    star_like_even,
 )
 from maxcross.errors import ResourceLimitError
 from maxcross.formulas import (
@@ -33,7 +35,7 @@ from maxcross.formulas import (
     thrackle_upper,
     upper_bound,
 )
-from maxcross.geometry import count_crossings_geometric
+from maxcross.geometry import count_crossings_geometric, drawing_to_text
 from maxcross.graph import (
     RegularGraph,
     connected_components,
@@ -55,6 +57,7 @@ from maxcross.search import (
     perturbation_probe,
     reproduce_table,
     sample_drawing,
+    sample_positions,
     sample_regular_graph,
     write_shard_checkpoint,
 )
@@ -1053,6 +1056,55 @@ class TestPerturbationProbe:
     def test_trials_validated(self):
         with pytest.raises(ValueError):
             perturbation_probe(5, 2, 0, seed=0)
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+class TestStreamPins:
+    """The random streams of the samplers and the probe, and the bytes of the
+    two drawing files, pinned by digest: a sampler, probe or Point that is
+    faster must draw, find and write exactly these."""
+
+    @pytest.mark.parametrize(
+        "n, d, pinned",
+        [
+            (10, 4, "e4cee26972e75a2a"),  # sparse
+            (12, 5, "b3e28bd1f4e5b1a8"),  # sparse, odd degree
+            (10, 6, "a8601408e0fd96c5"),  # dense: the complement of a (10, 3) draw
+            (7, 6, "45d0b5d13745c4e4"),  # complete: the graph draws nothing
+        ],
+    )
+    def test_sampler_draws_and_rng_states(self, n, d, pinned):
+        draws = []
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            graph = sample_regular_graph(n, d, rng)
+            after_graph = rng.getstate()
+            pts = sample_positions(n, rng)
+            draws.append((graph.edges, after_graph, pts, rng.getstate()))
+        assert _digest(draws) == pinned
+
+    @pytest.mark.parametrize(
+        "n, d, trials, seed, best, witness",
+        [
+            (10, 4, 1000, 1, 59, "d2e8811f66d8e253"),
+            (10, 4, 1000, 2, 64, "3f3bd0060280a48b"),
+            (12, 5, 50, 1, 127, "749f6d4729447c35"),
+            (12, 5, 50, 2, 122, "b2a71cf991ea8fcb"),
+        ],
+    )
+    def test_probe_results(self, n, d, trials, seed, best, witness):
+        result = perturbation_probe(n, d, trials, seed)
+        assert (result.max_crossings, _digest(result.witness.edges)) == (best, witness)
+
+    @pytest.mark.parametrize(
+        "build, n, d, pinned",
+        [(generalized_star, 29, 14, "7a6ad9eda76a2966"), (star_like_even, 22, 10, "9b6aa3b23ae5ae5d")],
+    )
+    def test_drawing_file_bytes(self, build, n, d, pinned):
+        assert _digest(drawing_to_text(build(n, d))) == pinned
 
 
 class TestReproduceTable:
