@@ -15,20 +15,18 @@ runs on two trees can be checked to compute the same thing:
   graph of an enumeration stream, `crossings_convex`, `drawing_from_order`
   and `count_crossings_geometric` on one seeded convex order, the two
   reports compared; "us_per_check" is the mean over the stream's checks,
-  and the digest is that of the convex totals;
-- "enumerate": `enumerate_labeled_regular(n, d)` on the three streams the
-  `corpus` benchmark enumerates; "graphs_per_s" is graphs over one whole
-  stream's time, and the digest is that of scripts/enumeration_rate.py
-  (SHA-256 of each graph's edge tuple repr, in order).
+  and the digest is that of the convex totals.
 
-Point PYTHONPATH at another checkout's src to measure that tree.
+Point PYTHONPATH at another checkout's src to measure that tree.  The
+`enumerate_labeled_regular` graphs/s of the three streams is timed by
+scripts/enumeration_rate.py ("enumerate_per_s"); the "enumerate" lines of
+the committed BENCH_small_inputs.json were measured with
+`git show 87ee192:scripts/small_inputs.py`.
 """
 
 import argparse
-import hashlib
 import json
 import random
-from collections import deque
 
 from maxcross.constructions import ConvexOrder, crossings_convex, drawing_from_order
 from maxcross.geometry import count_crossings_geometric
@@ -75,21 +73,6 @@ def main() -> None:
             "dual_route": [n, d], "checks": len(graphs),
             "us_per_check": round(per_call_us(checks, args.rounds, 1) / len(graphs), 2),
             "digest": digest(checks()),
-        }), flush=True)
-    for n, d in STREAMS:
-        stream = hashlib.sha256()
-        graphs = 0
-        for graph in enumerate_labeled_regular(n, d):
-            stream.update(repr(graph.edges).encode())
-            graphs += 1
-
-        def enumerate_graphs():
-            deque(enumerate_labeled_regular(n, d), maxlen=0)
-
-        print(json.dumps({
-            "enumerate": [n, d], "graphs": graphs,
-            "graphs_per_s": round(graphs / per_call_us(enumerate_graphs, args.rounds, 1) * 1e6),
-            "digest": stream.hexdigest()[:16],
         }), flush=True)
 
 

@@ -25,8 +25,7 @@ class TypeProfile:
     to n*d).  edge_counts[(i, j)], i <= j, counts edges whose endpoint
     types normalize to (i, j).  accounting is the guaranteed non-crossing
     pair total: sum of (i*(d-j-1) + j*(d-i-1)) * edge_counts[(i, j)].
-    vertex_profiles[v] is the sorted tuple of the d types at vertex v, and
-    groups counts vertices per (minimum type, full sorted signature).
+    vertex_profiles[v] is the sorted tuple of the d types at vertex v.
     """
 
     max_type: int
@@ -34,7 +33,6 @@ class TypeProfile:
     edge_counts: dict[tuple[int, int], int]
     accounting: int
     vertex_profiles: tuple[tuple[int, ...], ...]
-    groups: dict[tuple[int, tuple[int, ...]], int]
 
     def coverage_gap(self) -> tuple[int, int] | None:
         """First (vertex, missing type) of lemma_coverage_check, or None."""
@@ -99,18 +97,12 @@ def type_profile(drawing: GeometricDrawing) -> TypeProfile:
         i, j = min(tu, tv), max(tu, tv)
         edge_counts[(i, j)] += 1
         accounting += i * (d - j - 1) + j * (d - i - 1)
-    profiles = tuple(tuple(sorted(types)) for types in per_vertex)
-    groups: dict[tuple[int, tuple[int, ...]], int] = {}
-    for profile in profiles:
-        key = (profile[0], profile)
-        groups[key] = groups.get(key, 0) + 1
     return TypeProfile(
         max_type=max_type,
         endpoint_counts=tuple(endpoint_counts),
         edge_counts=edge_counts,
         accounting=accounting,
-        vertex_profiles=profiles,
-        groups=groups,
+        vertex_profiles=tuple(tuple(sorted(types)) for types in per_vertex),
     )
 
 
@@ -130,8 +122,8 @@ class AccountingReport:
     """Non-crossing pair count of a drawing versus its type accounting.
 
     pair_count (P) counts non-adjacent edge pairs, crossings those that cross,
-    and noncrossing (N) is P - crossings by definition: identity_holds only
-    restates it (the tests check the count against a pairwise reference).
+    and noncrossing (N) is P - crossings by definition (the tests check the
+    count against a pairwise reference).
     accounting (M) is the type-derived total of guaranteed non-crossing
     incidences; N >= M/2 as each guaranteed pair is counted by <= two edges.
     """
@@ -140,10 +132,6 @@ class AccountingReport:
     accounting: int
     pair_count: int
     crossings: int
-
-    @property
-    def identity_holds(self) -> bool:
-        return self.crossings == self.pair_count - self.noncrossing
 
     @property
     def accounting_bound_holds(self) -> bool:

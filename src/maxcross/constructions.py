@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from math import comb, gcd
+from math import gcd
 from operator import or_
 from typing import Sequence
 
@@ -227,16 +227,14 @@ def interleave_masks(chords: Sequence[Edge]) -> list[int]:
 def crossings_convex(graph: RegularGraph, order: ConvexOrder) -> CrossingReport:
     """Crossing report of a convex placement, computed combinatorially.
 
-    The report falls out of interleave_masks on the polygon slots of the
-    edges.  Field for field it equals the geometric count of the induced
-    parabola drawing.
+    Its per-edge counts are the popcounts of interleave_masks on the
+    polygon slots of the edges.  Field for field it equals the geometric
+    count of the induced parabola drawing.
     """
     if len(order.order) != graph.n:
         raise ValueError(f"order has {len(order.order)} slots for n={graph.n}")
     slots = order.slots()
     chords = [tuple(sorted((slots[u], slots[v]))) for u, v in graph.edges]
-    masks = interleave_masks(chords)
-    per_edge = {edge: mask.bit_count() for edge, mask in zip(graph.edges, masks)}
-    total = sum(per_edge.values()) // 2
-    pairs = comb(len(graph.edges), 2) - graph.n * comb(graph.d, 2)
-    return CrossingReport(total=total, per_edge=per_edge, noncrossing=pairs - total)
+    return CrossingReport.of(
+        graph, tuple([mask.bit_count() for mask in interleave_masks(chords)])
+    )

@@ -201,19 +201,28 @@ def side_table(pts: Sequence[tuple[int, int]], edges: Sequence[Edge]) -> SideTab
     return SideTable(tuple(left), crossings)
 
 
-@dataclass(frozen=True, eq=True)
+@dataclass(frozen=True)
 class CrossingReport:
     """Exact crossing statistics of one drawing.
 
-    total counts unordered crossing pairs of edges; per_edge maps each edge
-    to the number of crossings on it; noncrossing counts the non-adjacent
-    edge pairs that do not cross.  total + noncrossing always equals the
-    number of non-adjacent edge pairs.
+    total counts unordered crossing pairs of edges; per_edge[i] is the
+    number of crossings on graph.edges[i]; noncrossing counts the
+    non-adjacent edge pairs that do not cross.  total + noncrossing always
+    equals the number of non-adjacent edge pairs.
     """
 
     total: int
-    per_edge: dict[Edge, int]
+    per_edge: tuple[int, ...]
     noncrossing: int
+
+    @classmethod
+    def of(cls, graph: RegularGraph, per_edge: tuple[int, ...]) -> CrossingReport:
+        """The report of one model's per-edge crossing counts, in edge order:
+        each crossing lies on two edges, and a d-regular graph on n vertices
+        has C(m, 2) - n C(d, 2) non-adjacent edge pairs."""
+        total = sum(per_edge) // 2
+        pairs = math.comb(len(graph.edges), 2) - graph.n * math.comb(graph.d, 2)
+        return cls(total, per_edge, pairs - total)
 
     @property
     def pair_count(self) -> int:
@@ -228,11 +237,7 @@ def count_crossings_geometric(drawing: GeometricDrawing) -> CrossingReport:
     vertices and m edges.  Raises DegeneracyError, naming the first
     violation, unless the drawing is in general position.
     """
-    graph = drawing.graph
-    crossings = drawing.sides.crossings
-    total = sum(crossings) // 2
-    pairs = math.comb(len(graph.edges), 2) - graph.n * math.comb(graph.d, 2)
-    return CrossingReport(total, dict(zip(graph.edges, crossings)), pairs - total)
+    return CrossingReport.of(drawing.graph, drawing.sides.crossings)
 
 
 def drawing_to_text(drawing: GeometricDrawing, trailer: str | None = None) -> str:

@@ -120,8 +120,8 @@ class SearchResult:
     In convex mode, witness is the lexicographically least labeled graph
     attaining max_crossings under the identity convex order.  In
     perturbation mode it is the graph of the first trial whose sampled
-    drawing reached max_crossings.  Everything except elapsed is
-    deterministic for fixed arguments and seed.
+    drawing reached max_crossings.  Every field is deterministic for fixed
+    arguments and seed.
     """
 
     n: int
@@ -129,7 +129,6 @@ class SearchResult:
     max_crossings: int
     witness: RegularGraph
     graphs_examined: int
-    elapsed: float
     mode: str
 
 
@@ -650,7 +649,6 @@ def convex_max(
         max_crossings=best_value,
         witness=RegularGraph._trusted(n, d, best_witness),
         graphs_examined=examined_total,
-        elapsed=time.perf_counter() - started,
         mode=MODE_CONVEX,
     )
 
@@ -792,7 +790,6 @@ def perturbation_probe(n: int, d: int, trials: int, seed: int) -> SearchResult:
     require_feasible(n, d)
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    started = time.perf_counter()
     rng = random.Random(seed)
     best = -1
     witness: list[Edge] = []
@@ -808,7 +805,6 @@ def perturbation_probe(n: int, d: int, trials: int, seed: int) -> SearchResult:
         max_crossings=best,
         witness=RegularGraph(n, d, tuple(sorted(witness))),
         graphs_examined=trials,
-        elapsed=time.perf_counter() - started,
         mode=MODE_PERTURBATION,
     )
 

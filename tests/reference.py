@@ -55,18 +55,20 @@ def reference_violation(pts):
 def reference_report(drawing):
     """CrossingReport decided pair by pair with the Fraction segments_cross."""
     pos = drawing.positions
-    per_edge = dict.fromkeys(drawing.graph.edges, 0)
+    edges = drawing.graph.edges
+    per_edge = [0] * len(edges)
     total = noncrossing = 0
-    for (a, b), (c, d) in combinations(drawing.graph.edges, 2):
+    for i, j in combinations(range(len(edges)), 2):
+        (a, b), (c, d) = edges[i], edges[j]
         if len({a, b, c, d}) < 4:
             continue
         if segments_cross(pos[a], pos[b], pos[c], pos[d]):
             total += 1
-            per_edge[(a, b)] += 1
-            per_edge[(c, d)] += 1
+            per_edge[i] += 1
+            per_edge[j] += 1
         else:
             noncrossing += 1
-    return CrossingReport(total=total, per_edge=per_edge, noncrossing=noncrossing)
+    return CrossingReport(total=total, per_edge=tuple(per_edge), noncrossing=noncrossing)
 
 
 def sample_by_pairing(n, d, rng):

@@ -212,6 +212,15 @@ class TestRender:
         assert solid == 16
         assert svg.count("stroke-dasharray") == 4
 
+    def test_dashed_skips_empty_items(self, capsys, tmp_path):
+        drw = str(tmp_path / "s.drw")
+        run_cli(capsys, "construct", "star", "--n", "7", "--d", "2", "-o", drw)
+        a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+        assert run_cli(capsys, "render", drw, "-o", str(a), "--dashed", "0-2,,1-3,")[0] == 0
+        assert run_cli(capsys, "render", drw, "-o", str(b), "--dashed", "0-2,1-3")[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().count("stroke-dasharray") == 2
+
     def test_byte_identical_across_runs(self, capsys, tmp_path):
         drw = str(tmp_path / "s.drw")
         run_cli(capsys, "construct", "star", "--n", "7", "--d", "2", "-o", drw)
@@ -393,6 +402,20 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error: star-like deletion: ") and err.count("\n") == 1
+
+    def test_generalized_star_degree_fault(self, capsys, monkeypatch):
+        # a circulant of another degree must end in the construction exit
+        # code with one line, not in a drawing of another cell
+        import maxcross.constructions as constructions
+
+        original = constructions.make_circulant
+
+        def one_offset_short(n, offsets):
+            return original(n, list(offsets)[1:])
+
+        monkeypatch.setattr(constructions, "make_circulant", one_offset_short)
+        code, out, err = run_cli(capsys, "construct", "star", "--n", "9", "--d", "4")
+        assert (code, out, err) == (3, "", "error: expected degree 4, built 2\n")
 
     def test_construction_argument_error(self, capsys):
         assert run_cli(capsys, "construct", "starlike", "--n", "9", "--d", "4")[0] == 2

@@ -24,8 +24,10 @@ from maxcross.geometry import (
     degeneracy,
     drawing_from_text,
     drawing_to_text,
+    load_drawing,
     orientation,
     point,
+    save_drawing,
     segments_cross,
     validate_general_position,
 )
@@ -201,7 +203,7 @@ class TestGrid:
             sum(1 << w for w in range(len(pos)) if orientation(pos[u], pos[v], pos[w]) == LEFT)
             for u, v in edges
         )
-        assert sides.crossings == tuple(reference_report(drawing).per_edge.values())
+        assert sides.crossings == reference_report(drawing).per_edge
 
     @given(large_drawings())
     @settings(max_examples=60, deadline=None)
@@ -223,9 +225,8 @@ class TestCountCrossings:
         assert report.total == 1
         assert report.noncrossing == 2
         assert report.pair_count == 3
-        assert report.per_edge[(0, 2)] == 1
-        assert report.per_edge[(1, 3)] == 1
-        assert report.per_edge[(0, 1)] == 0
+        # edges (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3): the diagonals cross
+        assert report.per_edge == (0, 1, 0, 0, 1, 0)
 
     def test_pentagram(self):
         g = make_graph(5, 2, [(0, 2), (2, 4), (1, 4), (1, 3), (0, 3)])
@@ -274,12 +275,13 @@ class TestCountCrossings:
         assert crossing_total(drawing.grid, drawing.graph.edges) == report.total
 
     def test_report_consistency(self):
-        report = count_crossings_geometric(
-            GeometricDrawing(make_complete(6), parabola(6))
-        )
+        drawing = GeometricDrawing(make_complete(6), parabola(6))
+        report = count_crossings_geometric(drawing)
         # K_6 has 45 non-adjacent edge pairs: 3 per 4-vertex subset
         assert report.pair_count == 45
-        assert sum(report.per_edge.values()) == 2 * report.total
+        assert sum(report.per_edge) == 2 * report.total
+        # the report holds the side table's own tuple, not a copy
+        assert report.per_edge is drawing.sides.crossings
 
 
 class TestFastTotal:
@@ -328,6 +330,17 @@ class TestSerialization:
             text = drawing_to_text(drawing, trailer="t")
             assert drawing_to_text(drawing_from_text(text), trailer="t") == text
 
+    def test_save_and_load(self, tmp_path):
+        # the file holds drawing_to_text's bytes, trailer included
+        drawing = GeometricDrawing(make_cycle(4), (
+            point(Fraction(1, 3), 0), point(1, Fraction(-2, 7)),
+            point(2, 5), point(Fraction(9, 2), Fraction(1, 2)),
+        ))
+        path = tmp_path / "c4.drw"
+        save_drawing(drawing, str(path), trailer="t")
+        assert path.read_bytes() == drawing_to_text(drawing, trailer="t").encode()
+        assert load_drawing(str(path)) == drawing
+
     def test_trailer_ignored(self):
         d = GeometricDrawing(make_cycle(4), parabola(4))
         text = drawing_to_text(d, trailer="construction star 4 2")
@@ -350,6 +363,11 @@ class TestSerialization:
 
 class TestCrossingReport:
     def test_pair_count(self):
-        report = CrossingReport(total=3, per_edge={e: 0 for e in make_cycle(6).edges},
-                                noncrossing=6)
+        report = CrossingReport(total=3, per_edge=(0,) * 6, noncrossing=6)
         assert report.pair_count == 9
+
+    def test_of_derives_total_and_noncrossing(self):
+        # convex K_4 in edge order: only the diagonals (0, 2) and (1, 3) cross
+        per_edge = (0, 1, 0, 0, 1, 0)
+        report = CrossingReport.of(make_complete(4), per_edge)
+        assert report == CrossingReport(total=1, per_edge=per_edge, noncrossing=2)

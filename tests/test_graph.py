@@ -29,6 +29,7 @@ from maxcross.graph import (
     make_complete,
     make_cycle,
     make_graph,
+    save_graph,
     shard_prefixes,
 )
 from reference import reference_walk
@@ -296,6 +297,13 @@ class TestSerialization:
 
     def test_header(self):
         assert graph_to_text(make_cycle(4)).startswith(GRAPH_FORMAT_HEADER)
+
+    def test_save_and_load(self, tmp_path):
+        g = make_circulant(7, [1, 3])
+        path = tmp_path / "c7.graph"
+        save_graph(g, str(path))
+        assert path.read_bytes() == graph_to_text(g).encode()
+        assert load_graph(str(path)) == g
 
     def test_comments_skipped(self):
         text = graph_to_text(make_cycle(4)) + "# trailing note\n"

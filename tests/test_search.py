@@ -224,11 +224,7 @@ class TestConvexMax:
             path = str(tmp_path / f"shard-{index}.ckpt")
             write_shard_checkpoint(path, (n, d, index, prefixes[index]), (floor, None, 0))
         resumed = convex_max(n, d, checkpoint_dir=str(tmp_path))
-        assert (resumed.max_crossings, resumed.witness, resumed.graphs_examined) == (
-            fresh.max_crossings,
-            fresh.witness,
-            fresh.graphs_examined,
-        )
+        assert resumed == fresh
 
     @pytest.mark.parametrize("n,d", [(7, 4), (8, 3), (8, 4)])
     def test_future_pair_bound_is_admissible(self, n, d):
@@ -319,9 +315,7 @@ class TestConvexMax:
         for pool_after in (search.POOL_AFTER_S, 0):
             monkeypatch.setattr(search, "POOL_AFTER_S", pool_after)
             runs = [convex_max(7, 4, workers=w) for w in (1, 2, 8)]
-            baseline = (runs[0].max_crossings, runs[0].witness, runs[0].graphs_examined)
-            for result in runs[1:]:
-                assert (result.max_crossings, result.witness, result.graphs_examined) == baseline
+            assert runs == [runs[0]] * 3
 
     def test_matches_closed_forms_through_n7(self):
         for n in range(4, 8):
@@ -498,7 +492,10 @@ class TestConvexMax:
     def test_mode_field(self):
         result = convex_max(5, 2)
         assert result.mode == "convex-exhaustive"
-        assert result.elapsed >= 0
+        # no clock: two runs with the same arguments give equal results
+        assert [field.name for field in dataclasses.fields(result)] == [
+            "n", "d", "max_crossings", "witness", "graphs_examined", "mode"
+        ]
 
 
 class TestComplementSearch:
@@ -525,7 +522,8 @@ class TestComplementSearch:
         graph = sample_regular_graph(n, d, random.Random(data.draw(st.integers(0, 2**32))))
         complement = graph.complement()
         order = ConvexOrder.identity(n)
-        crossed = crossings_convex(make_complete(n), order).per_edge
+        complete = make_complete(n)
+        crossed = dict(zip(complete.edges, crossings_convex(complete, order).per_edge))
         weight = 0
         for a, b in complement.edges:
             k = b - a
@@ -654,9 +652,7 @@ class TestShardScheduling:
         result = convex_max(n, d, workers=2, long_run=True)
         monkeypatch.undo()
         single = convex_max(n, d, long_run=True)
-        assert (result.max_crossings, result.witness, result.graphs_examined) == (
-            single.max_crossings, single.witness, single.graphs_examined
-        )
+        assert result == single
 
     @pytest.mark.parametrize("k", [1, 6])
     @pytest.mark.parametrize("resume", [False, True])
@@ -696,9 +692,7 @@ class TestShardScheduling:
         monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
         result = convex_max(9, 4, workers=2, checkpoint_dir=str(run_dir))
         assert handed == [len(names) - loaded - k]
-        assert (result.max_crossings, result.witness, result.graphs_examined) == (
-            single.max_crossings, single.witness, single.graphs_examined
-        )
+        assert result == single
         assert sorted(os.listdir(run_dir)) == names
         for name in names:
             assert (run_dir / name).read_bytes() == (single_dir / name).read_bytes(), name
@@ -727,12 +721,6 @@ class TestCheckpoints:
             expected = f"ckpt v1\nn 6\nd 2\nshard {index}\n{tail}"
             assert path.read_bytes() == expected.encode()
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "shard-0.ckpt"
-        path.write_text("ckpt v2\nn 6\n")
-        with pytest.raises(ValueError, match="header"):
-            load_shard_checkpoint(str(path), _real_shard(0)[0], 7, 7)
-
     @pytest.mark.parametrize(
         "text, reason",
         [("ckpt v2\nn 6\n", "missing 'ckpt v1' header"), ("ckpt v1\n", "missing field 'n'")],
@@ -754,10 +742,7 @@ class TestCheckpoints:
         for name in written[::2]:
             os.unlink(tmp_path / name)
         resumed = convex_max(6, 4, checkpoint_dir=str(tmp_path))
-        for result in (first, resumed):
-            assert result.max_crossings == full.max_crossings
-            assert result.witness == full.witness
-            assert result.graphs_examined == full.graphs_examined
+        assert first == resumed == full
 
     @pytest.mark.parametrize(
         "line, replacement, message",
@@ -768,16 +753,13 @@ class TestCheckpoints:
             (3, "shard", "bad field shard"),
             (4, "prefix 0-2-0-3", "bad field prefix"),
             (4, "prefix 0-2 0-x", "bad field prefix"),
-            (5, "examined x", "bad field examined"),
             (6, "best", "bad field best"),
-            (7, "witness 1-4-1", "bad field witness"),
-            (3, "shard 3", "different run"),
-            (5, "examined -1", "negative examined"),
         ],
     )
     def test_field_rejection_names_the_file(self, tmp_path, line, replacement, message):
-        # a missing or unparsable field, or one that does not match the run,
-        # is refused with a message that names the file (and the field)
+        # a missing or unparsable field is refused with a message that names
+        # the file and the field; the damaged fields that the CLI table
+        # test_damaged_checkpoint_exits_2_with_one_line reaches are not repeated
         run, outcome = _real_shard(4)
         path = tmp_path / "shard-4.ckpt"
         write_shard_checkpoint(str(path), run, outcome)
@@ -898,9 +880,7 @@ class TestCheckpoints:
         assert set(os.listdir(run_dir)) == kept
         monkeypatch.undo()
         resumed = convex_max(7, 4, checkpoint_dir=str(run_dir))
-        assert resumed.max_crossings == fresh.max_crossings
-        assert resumed.witness == fresh.witness
-        assert resumed.graphs_examined == fresh.graphs_examined
+        assert resumed == fresh
         names = sorted(os.listdir(fresh_dir))
         assert sorted(os.listdir(run_dir)) == names and len(names) > stop_at
         for name in names:
@@ -1045,7 +1025,7 @@ class TestPerturbationProbe:
     def test_deterministic(self):
         a = perturbation_probe(6, 3, 200, seed=9)
         b = perturbation_probe(6, 3, 200, seed=9)
-        assert (a.max_crossings, a.witness) == (b.max_crossings, b.witness)
+        assert a == b
 
     def test_result_fields(self):
         result = perturbation_probe(5, 2, 50, seed=0)
