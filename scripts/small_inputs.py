@@ -15,7 +15,13 @@ runs on two trees can be checked to compute the same thing:
   graph of an enumeration stream, `crossings_convex`, `drawing_from_order`
   and `count_crossings_geometric` on one seeded convex order, the two
   reports compared; "us_per_check" is the mean over the stream's checks,
-  and the digest is that of the convex totals.
+  and the digest is that of the convex totals;
+- "chain": `_sample_by_switching(n, d, rng)` on (10, 4) and (12, 5), the
+  switch chain a probe trial runs; "attempts" is SWITCHES_PER_EDGE * m,
+  the switch attempts of one call, "attempts_per_s" is attempts over one
+  call's time (the timed calls share one rng and go on drawing from it),
+  and the digest is that of the edges and rng state of one call on
+  random.Random(1).
 
 Point PYTHONPATH at another checkout's src to measure that tree.  The
 `enumerate_labeled_regular` graphs/s of the three streams is timed by
@@ -31,13 +37,14 @@ import random
 from maxcross.constructions import ConvexOrder, crossings_convex, drawing_from_order
 from maxcross.geometry import count_crossings_geometric
 from maxcross.graph import enumerate_labeled_regular
-from maxcross.search import perturbation_probe
+from maxcross.search import SWITCHES_PER_EDGE, _sample_by_switching, perturbation_probe
 
 from harness import digest, per_call_us
 
 PROBES = ((10, 4, 1000), (12, 5, 50))
 STREAMS = ((9, 2), (8, 3), (8, 4))
 CHECK_EVERY = 100
+CHAINS = ((10, 4), (12, 5))
 
 
 def main() -> None:
@@ -73,6 +80,18 @@ def main() -> None:
             "dual_route": [n, d], "checks": len(graphs),
             "us_per_check": round(per_call_us(checks, args.rounds, 1) / len(graphs), 2),
             "digest": digest(checks()),
+        }), flush=True)
+    for n, d in CHAINS:
+        rng = random.Random(1)
+        drawn = digest((_sample_by_switching(n, d, rng), rng.getstate()))
+        attempts = SWITCHES_PER_EDGE * n * d // 2
+        print(json.dumps({
+            "chain": [n, d], "attempts": attempts,
+            "attempts_per_s": round(
+                attempts / per_call_us(lambda: _sample_by_switching(n, d, rng), args.rounds, 3)
+                * 1e6
+            ),
+            "digest": drawn,
         }), flush=True)
 
 

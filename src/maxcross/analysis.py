@@ -10,6 +10,8 @@ maximization into counting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import DegeneracyError
 from .geometry import COLLINEAR, GeometricDrawing, orientation
@@ -22,17 +24,28 @@ class TypeProfile:
     """Aggregated type statistics of one drawing of a d-regular graph.
 
     endpoint_counts[i] is the number of edge endpoints of type i (summing
-    to n*d).  edge_counts[(i, j)], i <= j, counts edges whose endpoint
-    types normalize to (i, j).  accounting is the guaranteed non-crossing
-    pair total: sum of (i*(d-j-1) + j*(d-i-1)) * edge_counts[(i, j)].
+    to n*d).  edge_counts, a read-only mapping, counts at (i, j), i <= j,
+    the edges whose endpoint types normalize to (i, j).  accounting is the
+    guaranteed non-crossing pair total: sum of
+    (i*(d-j-1) + j*(d-i-1)) * edge_counts[(i, j)].
     vertex_profiles[v] is the sorted tuple of the d types at vertex v.
     """
 
     max_type: int
     endpoint_counts: tuple[int, ...]
-    edge_counts: dict[tuple[int, int], int]
+    edge_counts: Mapping[tuple[int, int], int]
     accounting: int
     vertex_profiles: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self) -> None:
+        # read-only, so a profile held on a drawing and shared by its callers
+        # cannot be changed by one of them under the next
+        object.__setattr__(self, "edge_counts", MappingProxyType(dict(self.edge_counts)))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle; rebuild it from a plain dict
+        return (TypeProfile, (self.max_type, self.endpoint_counts, dict(self.edge_counts),
+                              self.accounting, self.vertex_profiles))
 
     def coverage_gap(self) -> tuple[int, int] | None:
         """First (vertex, missing type) of lemma_coverage_check, or None."""
@@ -73,8 +86,26 @@ def endvertex_type(drawing: GeometricDrawing, edge: Edge, endpoint: int) -> int:
     return min(left, drawing.graph.d - 1 - left)
 
 
+# the instance-dict key a drawing's profile is held under, beside the
+# cached_property entries of its grid and side table
+_HELD_PROFILE = "type_profile"
+
+
 def type_profile(drawing: GeometricDrawing) -> TypeProfile:
-    """Compute the full type statistics of a general-position drawing."""
+    """The full type statistics of a general-position drawing.
+
+    Computed once per drawing and held on it, as its side table is: every
+    later call, noncrossing_accounting's and lemma_coverage_check's
+    included, returns the same TypeProfile.  A degenerate drawing raises
+    DegeneracyError on every call and nothing is held.
+    """
+    held = vars(drawing).get(_HELD_PROFILE)
+    if held is None:
+        held = vars(drawing)[_HELD_PROFILE] = _compute_profile(drawing)
+    return held
+
+
+def _compute_profile(drawing: GeometricDrawing) -> TypeProfile:
     left = drawing.sides.left
     graph = drawing.graph
     d = graph.d

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd
-from operator import or_
+from operator import xor
 from typing import Sequence
 
 from .errors import ConstructionError, ResourceLimitError
@@ -207,21 +207,17 @@ def interleave_masks(chords: Sequence[Edge]) -> list[int]:
     Chords are slot pairs (a, b) with a < b.  Two chords cross exactly when
     their endpoints interleave around the circle: chord (a, b) is crossed by
     the chords with one endpoint strictly inside it and one strictly
-    outside.  Chords sharing a slot never cross.
+    outside.  Chords sharing a slot never cross.  O(m) big-int operations:
+    the XOR of the slots strictly inside (a, b) keeps the chords with exactly
+    one endpoint there, and of those, a chord touching neither a nor b has
+    its other endpoint strictly outside.
     """
     touching = [0] * (1 + max((b for _, b in chords), default=0))
     for j, (c, d) in enumerate(chords):
         touching[c] |= 1 << j
         touching[d] |= 1 << j
-    before = list(accumulate(touching, or_, initial=0))
-    after = list(accumulate(reversed(touching), or_, initial=0))[::-1]
-    masks = []
-    for a, b in chords:
-        inside = 0
-        for slot in range(a + 1, b):
-            inside |= touching[slot]
-        masks.append(inside & (before[a] | after[b + 1]))
-    return masks
+    prefix = list(accumulate(touching, xor, initial=0))
+    return [(prefix[b] ^ prefix[a + 1]) & ~(touching[a] | touching[b]) for a, b in chords]
 
 
 def crossings_convex(graph: RegularGraph, order: ConvexOrder) -> CrossingReport:
@@ -234,7 +230,10 @@ def crossings_convex(graph: RegularGraph, order: ConvexOrder) -> CrossingReport:
     if len(order.order) != graph.n:
         raise ValueError(f"order has {len(order.order)} slots for n={graph.n}")
     slots = order.slots()
-    chords = [tuple(sorted((slots[u], slots[v]))) for u, v in graph.edges]
+    chords = []
+    for u, v in graph.edges:
+        a, b = slots[u], slots[v]
+        chords.append((a, b) if a < b else (b, a))
     return CrossingReport.of(
         graph, tuple([mask.bit_count() for mask in interleave_masks(chords)])
     )

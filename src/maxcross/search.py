@@ -687,6 +687,14 @@ def _circulant_edges(n: int, d: int) -> tuple[Edge, ...]:
     return make_circulant(n, offsets).edges
 
 
+@lru_cache(maxsize=None)
+def _pair_keys(n: int) -> tuple[tuple[int, ...], ...]:
+    """rows[a][c] is the key min(a, c) * n + max(a, c) of the pair {a, c},
+    so rows[v][v] is the loop key v * n + v, which no edge has.  Built once
+    per n per process: n^2 ints, with n <= PROBE_CAP on the probe's path."""
+    return tuple(tuple(a * n + c if a < c else c * n + a for c in range(n)) for a in range(n))
+
+
 def _sample_by_switching(n: int, d: int, rng: random.Random) -> list[Edge]:
     """The edges (u, v), u < v, after SWITCHES_PER_EDGE * m attempts of the
     switch ab, ce -> ac, be, in the chain's own order.
@@ -695,6 +703,12 @@ def _sample_by_switching(n: int, d: int, rng: random.Random) -> list[Edge]:
     second edge.  An attempt that would make a loop or a repeated edge is
     skipped, not retried.  Each switch and its reverse are proposed with the
     same probability, so the uniform distribution is stationary.
+
+    An attempt is decided by two membership tests, one per new edge, in a
+    set that holds the n loop keys beside the edge keys: a == c or b == e
+    makes a loop, a == e or b == c makes edge j again, and i == j is one of
+    these, so an edge pair that shares an endpoint is refused by the same
+    test that refuses a repeated edge.
     """
     label = list(range(n))
     rng.shuffle(label)
@@ -702,8 +716,9 @@ def _sample_by_switching(n: int, d: int, rng: random.Random) -> list[Edge]:
     for u, v in _circulant_edges(n, d):
         u, v = label[u], label[v]
         edges.append((u, v) if u < v else (v, u))
-    # the edge (u, v), u < v, is the key u * n + v
-    present = {u * n + v for u, v in edges}
+    rows = _pair_keys(n)
+    present = {rows[u][v] for u, v in edges}
+    present.update(rows[v][v] for v in range(n))
     m = len(edges)
     span = 2 * m
     total = span * m
@@ -715,19 +730,19 @@ def _sample_by_switching(n: int, d: int, rng: random.Random) -> list[Edge]:
         while draw >= total:
             draw = getrandbits(bits)
         i, rest = divmod(draw, span)
-        j, flip = divmod(rest, 2)
+        j = rest >> 1
         a, b = edges[i]
         c, e = edges[j]
-        if flip:
+        if rest & 1:
             c, e = e, c
-        if a == c or a == e or b == c or b == e:
+        first = rows[a][c]
+        if first in present:
             continue
-        first = a * n + c if a < c else c * n + a
-        second = b * n + e if b < e else e * n + b
-        if first in present or second in present:
+        second = rows[b][e]
+        if second in present:
             continue
-        present.remove(a * n + b)
-        present.remove(c * n + e if c < e else e * n + c)
+        present.remove(rows[a][b])
+        present.remove(rows[c][e])
         present.add(first)
         present.add(second)
         edges[i] = divmod(first, n)

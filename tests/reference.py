@@ -4,7 +4,8 @@ The geometric references decide everything with `orientation` and
 `segments_cross` on the rational coordinates, pair by pair, so they share no
 code with the integer side-table kernel they are compared against.  The
 pairing sampler is the exactly uniform model the switch-chain sampler is
-compared against.  The prune decision rebuilds the search's cut at one node
+compared against, and the spelled-out switch chain the exact stream it must
+draw.  The prune decision rebuilds the search's cut at one node
 from the plain definitions: the stack-based residual capacity, the pairs of
 future edges counted vertex by vertex, and the 2n rotations and reflections
 applied to a saturated vertex's neighbourhood.  The dihedral predicate
@@ -33,7 +34,7 @@ from maxcross.geometry import (
     segments_cross,
 )
 from maxcross.graph import RegularGraph
-from maxcross.search import sample_regular_graph
+from maxcross.search import SWITCHES_PER_EDGE, _circulant_edges, sample_regular_graph
 
 # Negative and positive, never integral: an odd numerator over an even denominator.
 halves = st.builds(
@@ -87,6 +88,50 @@ def sample_by_pairing(n, d, rng):
             edges.add(edge)
         else:
             return RegularGraph(n, d, tuple(sorted(edges)))
+
+
+def reference_switch_chain(n, d, rng):
+    """The switch chain with each refusal spelled out: four endpoint
+    comparisons, then one membership test per new edge, the keys ordered by
+    a comparison each.  The sampler must return the same edges and leave rng
+    in the same state."""
+    label = list(range(n))
+    rng.shuffle(label)
+    edges = []
+    for u, v in _circulant_edges(n, d):
+        u, v = label[u], label[v]
+        edges.append((u, v) if u < v else (v, u))
+    # the edge (u, v), u < v, is the key u * n + v
+    present = {u * n + v for u, v in edges}
+    m = len(edges)
+    span = 2 * m
+    total = span * m
+    bits = total.bit_length()
+    getrandbits = rng.getrandbits
+    for _ in range(SWITCHES_PER_EDGE * m):
+        # uniform below 2 m^2 by rejection, as randrange draws, minus its call overhead
+        draw = getrandbits(bits)
+        while draw >= total:
+            draw = getrandbits(bits)
+        i, rest = divmod(draw, span)
+        j, flip = divmod(rest, 2)
+        a, b = edges[i]
+        c, e = edges[j]
+        if flip:
+            c, e = e, c
+        if a == c or a == e or b == c or b == e:
+            continue
+        first = a * n + c if a < c else c * n + a
+        second = b * n + e if b < e else e * n + b
+        if first in present or second in present:
+            continue
+        present.remove(a * n + b)
+        present.remove(c * n + e if c < e else e * n + c)
+        present.add(first)
+        present.add(second)
+        edges[i] = divmod(first, n)
+        edges[j] = divmod(second, n)
+    return edges
 
 
 def residual_capacity(stack, remaining):

@@ -4,6 +4,7 @@ The frozen profiles below were derived by hand from the drawings' cross
 products before the module was written.
 """
 
+import pickle
 import random
 
 import pytest
@@ -171,6 +172,54 @@ class TestTypeProfileRoutes:
         drawing = GeometricDrawing(make_cycle(4), pts)
         with pytest.raises(DegeneracyError, match=r"vertices \(0, 1, 2\) violate"):
             type_profile(drawing)
+
+
+class TestHeldProfile:
+    """A drawing's profile is computed once and shared, read-only."""
+
+    def test_same_profile_on_every_call(self):
+        drawing = generalized_star(9, 4)
+        profile = type_profile(drawing)
+        assert type_profile(drawing) is profile
+        fresh = GeometricDrawing(drawing.graph, drawing.positions)
+        assert type_profile(fresh) == profile and type_profile(fresh) is not profile
+
+    def test_accounting_and_coverage_read_the_held_profile(self, monkeypatch):
+        import maxcross.analysis as analysis
+
+        computed = []
+        compute = analysis._compute_profile
+        monkeypatch.setattr(analysis, "_compute_profile",
+                            lambda drawing: computed.append(drawing) or compute(drawing))
+        drawing = sample_drawing(sample_regular_graph(8, 3, random.Random(3)), random.Random(4))
+        report = noncrossing_accounting(drawing)
+        assert lemma_coverage_check(drawing) == type_profile(drawing).coverage_gap()
+        assert report.accounting == type_profile(drawing).accounting
+        assert computed == [drawing]
+
+    def test_edge_counts_refuse_assignment(self):
+        profile = type_profile(generalized_star(8, 3))
+        with pytest.raises(TypeError):
+            profile.edge_counts[(0, 0)] = 99
+        assert profile.edge_counts[(0, 0)] != 99
+
+    def test_pickles_with_its_drawing(self):
+        drawing = generalized_star(9, 4)
+        profile = type_profile(drawing)
+        copy = pickle.loads(pickle.dumps(drawing))
+        assert copy == drawing and type_profile(copy) == profile
+        assert pickle.loads(pickle.dumps(profile)) == profile
+
+    def test_degenerate_drawing_raises_on_every_call(self):
+        pts = (point(0, 0), point(1, 1), point(2, 2), point(0, 5))
+        drawing = GeometricDrawing(make_cycle(4), pts)
+        for _ in range(3):
+            with pytest.raises(DegeneracyError):
+                type_profile(drawing)
+        with pytest.raises(DegeneracyError):
+            noncrossing_accounting(drawing)
+        with pytest.raises(DegeneracyError):
+            lemma_coverage_check(drawing)
 
 
 class TestRandomCorpus:

@@ -5,7 +5,8 @@ The combinatorial counter (chord interleaving) and the geometric counter
 their agreement is checked exhaustively for n <= 6 and on samples above.
 """
 
-from itertools import permutations
+import random
+from itertools import combinations, permutations
 from math import comb, gcd
 
 import pytest
@@ -20,6 +21,7 @@ from maxcross.constructions import (
     crossings_convex,
     drawing_from_order,
     generalized_star,
+    interleave_masks,
     star_like_deletion,
     star_like_even,
 )
@@ -32,6 +34,7 @@ from maxcross.graph import (
     make_circulant,
     make_cycle,
 )
+from reference import interleave
 
 
 class TestConvexOrder:
@@ -204,6 +207,29 @@ class TestDualRouteAgreement:
         combinatorial = crossings_convex(graph, order)
         geometric = count_crossings_geometric(drawing_from_order(graph, order))
         assert combinatorial.total == geometric.total
+
+
+def assert_masks_interleave(chords):
+    masks = interleave_masks(chords)
+    assert len(masks) == len(chords)
+    for i, chord in enumerate(chords):
+        for j, other in enumerate(chords):
+            assert (masks[i] >> j) & 1 == interleave(chord, other), (chords, chord, other)
+
+
+class TestInterleaveMasks:
+    """The prefix-XOR masks against the pair-by-pair interleaving test."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_every_chord_of_k_n(self, n):
+        assert_masks_interleave(list(combinations(range(n), 2)))
+
+    def test_seeded_chord_subsets(self):
+        rng = random.Random(36)
+        for _ in range(300):
+            n = rng.randint(2, 15)
+            chords = list(combinations(range(n), 2))
+            assert_masks_interleave(rng.sample(chords, rng.randint(0, len(chords))))
 
 
 class TestConvexPoints:

@@ -48,6 +48,7 @@ from maxcross.graph import (
 from maxcross.search import (
     REFERENCE_VALUES,
     _pool_size,
+    _sample_by_switching,
     _search_cell,
     _search_shard,
     _searched_stars,
@@ -66,6 +67,7 @@ from reference import (
     keeps_dihedral_representative,
     kept_stars_by_tuples,
     prune_decision,
+    reference_switch_chain,
     sample_by_pairing,
 )
 
@@ -912,6 +914,19 @@ class TestSamplers:
         # the random stream of every probe trial runs through this sampler
         graph = sample_regular_graph(n, d, random.Random(seed))
         assert " ".join(f"{u}-{v}" for u, v in graph.edges) == edges
+
+    @pytest.mark.parametrize(
+        "n, d",
+        [(n, d) for n in range(4, 14) for d in range(2, (n - 1) // 2 + 1) if feasible(n, d)]
+        + [(30, 7), (64, 9), (100, 3)],
+    )
+    def test_chain_matches_spelled_out_chain(self, n, d):
+        # the loop keys refuse exactly the attempts the four endpoint
+        # comparisons refused: same edges in the same order, same rng state
+        for seed in range(30):
+            rng, expected = random.Random(seed), random.Random(seed)
+            assert _sample_by_switching(n, d, rng) == reference_switch_chain(n, d, expected)
+            assert rng.getstate() == expected.getstate(), (n, d, seed)
 
     def test_drawing_sampler_general_position(self):
         from maxcross.geometry import validate_general_position
